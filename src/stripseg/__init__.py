@@ -9,13 +9,10 @@ piece of the architecture is independently verifiable.
 from .analysis import AttnConfig, BenchResult, FlopReport, closed_form_flops, count_flops, sweep
 from .attention import (
     AttnOutput,
-    SCAParams,
-    VanillaAttnParams,
+    AttnParams,
     cross_attention,
-    init_sca_params,
-    init_vanilla_params,
+    init_mixer_params,
     oracle_attention,
-    oracle_strip_attention,
     self_attention,
     strip_cross_attention,
 )

@@ -23,14 +23,8 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .attention import (
-    cross_attention,
-    init_sca_params,
-    init_vanilla_params,
-    self_attention,
-    strip_cross_attention,
-)
-from .decoder import MIXER_KINDS, DecoderParams, decode
+from .attention import MIXER_KINDS, cross_attention, init_mixer_params
+from .decoder import DecoderParams, decode
 from .synth import FeaturePyramid, normal_array, substream
 from .tensor import Tensor, bind_params, count_macs
 
@@ -97,24 +91,13 @@ def _build_case(mixer_kind: str, cfg: AttnConfig, seed: int):
     stream = substream(seed, 7)
     xq = Tensor(normal_array(stream, (1, cfg.n_q, cfg.c_q)))
     xkv = Tensor(normal_array(stream, (1, cfg.n_kv, cfg.c_kv)))
-    if mixer_kind == "sca":
-        params = init_sca_params(cfg.c_q, cfg.c_kv, cfg.heads, cfg.dim_head, stream)
-    elif mixer_kind == "ca":
-        params = init_vanilla_params(cfg.c_q, cfg.c_kv, cfg.heads, cfg.dim_head, stream)
-    elif mixer_kind == "sa":
-        params = init_vanilla_params(cfg.c_q, cfg.c_q, cfg.heads, cfg.dim_head, stream)
-    else:
-        raise ValueError(f"unknown mixer kind {mixer_kind!r}")
+    params = init_mixer_params(mixer_kind, cfg.c_q, cfg.c_kv, cfg.heads, cfg.dim_head, stream)
     bound, _ = bind_params(params, None)
     return xq, xkv, bound
 
 
 def _run_mixer(mixer_kind: str, xq: Tensor, xkv: Tensor, bound_params):
-    if mixer_kind == "sa":
-        return self_attention(xq, bound_params)
-    if mixer_kind == "ca":
-        return cross_attention(xq, xkv, bound_params)
-    return strip_cross_attention(xq, xkv, bound_params)
+    return cross_attention(xq, xq if mixer_kind == "sa" else xkv, bound_params)
 
 
 def count_flops(mixer_kind: str, cfg: AttnConfig, seed: int = 0) -> FlopReport:

@@ -1,13 +1,16 @@
 """Token mixers: vanilla self-attention, vanilla cross-attention, and strip
-cross-attention, plus brute-force oracles for equivalence testing.
+cross-attention, plus a brute-force oracle for equivalence testing.
 
-Strip attention compresses the query and key channels to one scalar per head
-per token, so the per-head score matrix costs N_q*N_kv multiplies instead of
-N_q*N_kv*dim_head, while values keep full width.
+All three mixers are one multi-head scaled dot-product attention kernel.
+Strip attention is the case where queries and keys are compressed to one
+scalar per head per token (qk width 1), so the per-head score matrix costs
+N_q*N_kv multiplies instead of N_q*N_kv*dim_head, while values keep full
+width. The qk width is never stored: it is read off the projection shapes.
 
-Head layout convention (fixed so tests are deterministic): projection output
-channel h is head h's strip logit; value channels [h*dim_head, (h+1)*dim_head)
-belong to head h. Attention maps are retained on the output for inspection.
+Head layout convention (fixed so tests are deterministic): query/key
+channels [h*qk, (h+1)*qk) belong to head h, so with qk width 1 channel h is
+head h's strip logit; value channels [h*dim_head, (h+1)*dim_head) belong to
+head h. Attention maps are retained on the output for inspection.
 """
 
 from __future__ import annotations
@@ -32,32 +35,17 @@ from .tensor import (
     transpose,
 )
 
-
-@dataclass
-class VanillaAttnParams:
-    """Full-width multi-head attention projections.
-
-    wq maps C_q -> heads*dim_head, wk and wv map C_kv -> heads*dim_head,
-    wo maps heads*dim_head -> C_q. scale defaults to 1/sqrt(dim_head).
-    """
-
-    wq: LinearParams
-    wk: LinearParams
-    wv: LinearParams
-    wo: LinearParams
-    heads: int
-    dim_head: int
-    scale: float
+MIXER_KINDS = ("sa", "ca", "sca")
 
 
 @dataclass
-class SCAParams:
-    """Strip cross-attention projections.
+class AttnParams:
+    """Multi-head attention projections.
 
-    wq maps C_q -> heads (one strip logit per head per token), wk maps
-    C_kv -> heads, wv maps C_kv -> heads*dim_head, wo maps heads*dim_head
-    back to C_q. scale defaults to 1.0: the compressed key embedding is
-    one-dimensional, so sqrt(d_k) = 1.
+    wq maps C_q -> heads*qk and wk maps C_kv -> heads*qk, where the qk width
+    per head is wq rows / heads: 1 for strip attention, dim_head for the
+    full-width mixers. wv maps C_kv -> heads*dim_head, wo maps
+    heads*dim_head -> C_q.
     """
 
     wq: LinearParams
@@ -82,7 +70,8 @@ def _init_linear(stream: RandomStream, out_dim: int, in_dim: int, std: float) ->
     )
 
 
-def init_vanilla_params(
+def init_mixer_params(
+    kind: str,
     c_q: int,
     c_kv: int,
     heads: int,
@@ -90,36 +79,26 @@ def init_vanilla_params(
     stream: RandomStream,
     std: float = 0.02,
     scale: Optional[float] = None,
-) -> VanillaAttnParams:
-    inner = heads * dim_head
-    return VanillaAttnParams(
-        wq=_init_linear(stream, inner, c_q, std),
-        wk=_init_linear(stream, inner, c_kv, std),
-        wv=_init_linear(stream, inner, c_kv, std),
-        wo=_init_linear(stream, c_q, inner, std),
-        heads=heads,
-        dim_head=dim_head,
-        scale=1.0 / math.sqrt(dim_head) if scale is None else scale,
-    )
+) -> AttnParams:
+    """Seeded projections for one mixer kind, drawn in the order wq, wk, wv, wo.
 
-
-def init_sca_params(
-    c_q: int,
-    c_kv: int,
-    heads: int,
-    dim_head: int,
-    stream: RandomStream,
-    std: float = 0.02,
-    scale: Optional[float] = None,
-) -> SCAParams:
-    return SCAParams(
-        wq=_init_linear(stream, heads, c_q, std),
-        wk=_init_linear(stream, heads, c_kv, std),
+    The qk width is 1 for "sca" and dim_head otherwise; "sa" takes its keys
+    and values at c_q. scale defaults to 1/sqrt(qk width), the scaled
+    dot-product rule, which gives 1.0 for strip attention.
+    """
+    if kind not in MIXER_KINDS:
+        raise ValueError(f"unknown mixer kind {kind!r}")
+    qk = 1 if kind == "sca" else dim_head
+    if kind == "sa":
+        c_kv = c_q
+    return AttnParams(
+        wq=_init_linear(stream, heads * qk, c_q, std),
+        wk=_init_linear(stream, heads * qk, c_kv, std),
         wv=_init_linear(stream, heads * dim_head, c_kv, std),
         wo=_init_linear(stream, c_q, heads * dim_head, std),
         heads=heads,
         dim_head=dim_head,
-        scale=1.0 if scale is None else scale,
+        scale=1.0 / math.sqrt(qk) if scale is None else scale,
     )
 
 
@@ -133,51 +112,42 @@ def _merge_heads(x: Tensor) -> Tensor:
     return reshape(transpose(x, (0, 2, 1, 3)), (b, n, h * d))
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, wo: LinearParams, scale: float) -> AttnOutput:
-    """Shared score/softmax/mix/project path; q, k, v are [B, heads, N, d]."""
-    with mac_region("attn_scores"):
-        scores = matmul(q, transpose(k, (0, 1, 3, 2)))
-    attn = softmax_lastdim(scalar_mul(scores, scale))
-    with mac_region("attn_mix"):
-        mixed = matmul(attn, v)
-    with mac_region("out_proj"):
-        out = linear(_merge_heads(mixed), wo)
-    return AttnOutput(out=out, attn=attn)
-
-
-def self_attention(x: Tensor, p: VanillaAttnParams) -> AttnOutput:
+def self_attention(x: Tensor, p: AttnParams) -> AttnOutput:
     """Multi-head scaled dot-product attention with shared q/k/v source."""
     return cross_attention(x, x, p)
 
 
-def cross_attention(xq: Tensor, xkv: Tensor, p: VanillaAttnParams) -> AttnOutput:
-    """As self-attention, but queries come from xq and keys/values from xkv."""
+def cross_attention(xq: Tensor, xkv: Tensor, p: AttnParams) -> AttnOutput:
+    """As self-attention, but queries come from xq and keys/values from xkv.
+
+    With qk width 1 (wq rows == heads) this is strip cross-attention.
+    """
     if xq.data.ndim != 3 or xkv.data.ndim != 3:
         raise ShapeError(f"attention inputs must be [B,N,C], got {xq.shape} and {xkv.shape}")
+    qk = p.wq.weight.shape[0] // p.heads
     with mac_region("qk_proj"):
-        q = _split_heads(linear(xq, p.wq), p.heads, p.dim_head)
-        k = _split_heads(linear(xkv, p.wk), p.heads, p.dim_head)
+        q = _split_heads(linear(xq, p.wq), p.heads, qk)
+        k = _split_heads(linear(xkv, p.wk), p.heads, qk)
     with mac_region("v_proj"):
         v = _split_heads(linear(xkv, p.wv), p.heads, p.dim_head)
-    return _attend(q, k, v, p.wo, p.scale)
+    with mac_region("attn_scores"):
+        scores = matmul(q, transpose(k, (0, 1, 3, 2)))
+    attn = softmax_lastdim(scalar_mul(scores, p.scale))
+    with mac_region("attn_mix"):
+        mixed = matmul(attn, v)
+    with mac_region("out_proj"):
+        out = linear(_merge_heads(mixed), p.wo)
+    return AttnOutput(out=out, attn=attn)
 
 
-def strip_cross_attention(xq: Tensor, xkv: Tensor, p: SCAParams) -> AttnOutput:
-    """Cross-attention with per-head scalar strips for queries and keys."""
-    if xq.data.ndim != 3 or xkv.data.ndim != 3:
-        raise ShapeError(f"attention inputs must be [B,N,C], got {xq.shape} and {xkv.shape}")
-    with mac_region("qk_proj"):
-        q = _split_heads(linear(xq, p.wq), p.heads, 1)
-        k = _split_heads(linear(xkv, p.wk), p.heads, 1)
-    with mac_region("v_proj"):
-        v = _split_heads(linear(xkv, p.wv), p.heads, p.dim_head)
-    return _attend(q, k, v, p.wo, p.scale)
+# Strip cross-attention is the same kernel; its params carry qk width 1.
+strip_cross_attention = cross_attention
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles
+# Brute-force oracle
 # ---------------------------------------------------------------------------
-# Explicit scalar loops sharing no code with the kernels above; used as the
+# Explicit scalar loops sharing no code with the kernel above; used as the
 # independent reference in equivalence tests. Parameters are the storage-side
 # bundles (plain numpy arrays).
 
@@ -199,15 +169,20 @@ def _oracle_softmax(logits):
     return [e / denom for e in exps]
 
 
-def _oracle_mix(xq, xkv, heads, dim_head, qk_dim, pq, pk, pv, po, scale):
+def oracle_attention(xq: np.ndarray, xkv: np.ndarray, p: AttnParams) -> np.ndarray:
+    """Loop-based reference for all three mixers; qk width is wq rows / heads."""
+    xq = np.asarray(xq, dtype=np.float64)
+    xkv = np.asarray(xkv, dtype=np.float64)
+    heads, dim_head = p.heads, p.dim_head
+    qk_dim = p.wq.weight.shape[0] // heads
     b_sz, n_q, _ = xq.shape
     n_kv = xkv.shape[1]
-    c_q = po.weight.shape[0]
+    c_q = p.wo.weight.shape[0]
     out = np.zeros((b_sz, n_q, c_q))
     for b in range(b_sz):
-        q_rows = [_oracle_linear(xq[b, n], pq.weight, pq.bias) for n in range(n_q)]
-        k_rows = [_oracle_linear(xkv[b, m], pk.weight, pk.bias) for m in range(n_kv)]
-        v_rows = [_oracle_linear(xkv[b, m], pv.weight, pv.bias) for m in range(n_kv)]
+        q_rows = [_oracle_linear(xq[b, n], p.wq.weight, p.wq.bias) for n in range(n_q)]
+        k_rows = [_oracle_linear(xkv[b, m], p.wk.weight, p.wk.bias) for m in range(n_kv)]
+        v_rows = [_oracle_linear(xkv[b, m], p.wv.weight, p.wv.bias) for m in range(n_kv)]
         for n in range(n_q):
             mixed = np.zeros(heads * dim_head)
             for h in range(heads):
@@ -216,44 +191,12 @@ def _oracle_mix(xq, xkv, heads, dim_head, qk_dim, pq, pk, pv, po, scale):
                     acc = 0.0
                     for d in range(qk_dim):
                         acc += q_rows[n][h * qk_dim + d] * k_rows[m][h * qk_dim + d]
-                    logits.append(scale * acc)
+                    logits.append(p.scale * acc)
                 weights = _oracle_softmax(logits)
                 for d in range(dim_head):
                     acc = 0.0
                     for m in range(n_kv):
                         acc += weights[m] * v_rows[m][h * dim_head + d]
                     mixed[h * dim_head + d] = acc
-            out[b, n] = _oracle_linear(mixed, po.weight, po.bias)
+            out[b, n] = _oracle_linear(mixed, p.wo.weight, p.wo.bias)
     return out
-
-
-def oracle_attention(xq: np.ndarray, xkv: np.ndarray, p: VanillaAttnParams) -> np.ndarray:
-    """Loop-based reference for vanilla self/cross attention."""
-    return _oracle_mix(
-        np.asarray(xq, dtype=np.float64),
-        np.asarray(xkv, dtype=np.float64),
-        p.heads,
-        p.dim_head,
-        p.dim_head,
-        p.wq,
-        p.wk,
-        p.wv,
-        p.wo,
-        p.scale,
-    )
-
-
-def oracle_strip_attention(xq: np.ndarray, xkv: np.ndarray, p: SCAParams) -> np.ndarray:
-    """Loop-based reference for strip cross-attention (qk width 1 per head)."""
-    return _oracle_mix(
-        np.asarray(xq, dtype=np.float64),
-        np.asarray(xkv, dtype=np.float64),
-        p.heads,
-        p.dim_head,
-        1,
-        p.wq,
-        p.wk,
-        p.wv,
-        p.wo,
-        p.scale,
-    )

@@ -195,7 +195,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ShapeError as exc:
         print(f"shape error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

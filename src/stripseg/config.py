@@ -9,12 +9,14 @@ normalization epsilon stay visible in artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 
 from .analysis import AttnConfig
-from .decoder import MIXER_KINDS, DecoderParams, init_decoder_params
+from .attention import MIXER_KINDS
+from .decoder import DecoderParams, init_decoder_params
 from .synth import FeaturePyramid, PyramidSpec, generate_pyramid
 
 
@@ -24,33 +26,37 @@ class ConfigError(ValueError):
 
 @dataclass
 class BenchSettings:
-    n_tokens: int = 1024
-    channels: int = 64
-    heads: int = 8
-    repeats: int = 9
-    warmup: int = 2
+    n_tokens: int
+    channels: int
+    heads: int
+    repeats: int
+    warmup: int
 
 
 @dataclass
 class RunConfig:
+    """A resolved run; its fields are the keys of FORWARD_DEFAULTS, with the
+    decoder section flattened and decoder.mixer stored as mixer_kind."""
+
     pyramid: PyramidSpec
-    mixer_kind: str = "sca"
-    num_classes: int = 19
-    heads: tuple[int, int, int, int] = (1, 2, 4, 8)
-    dim_head: int = 16
-    mlp_expansion: int = 4
-    lpm_enabled: bool = True
-    lpm_reduction: int = 4
-    cross_layer_enabled: tuple[bool, bool, bool, bool] = (True, True, True, True)
-    layernorm_eps: float = 1e-6
-    attn_scale: Optional[float] = None
-    init_std: float = 0.02
-    seed: int = 0
-    output_dir: str = "out"
-    bench: BenchSettings = field(default_factory=BenchSettings)
-    sweep: Optional[list[AttnConfig]] = None
+    mixer_kind: str
+    num_classes: int
+    heads: tuple[int, int, int, int]
+    dim_head: int
+    mlp_expansion: int
+    lpm_enabled: bool
+    lpm_reduction: int
+    cross_layer_enabled: tuple[bool, bool, bool, bool]
+    layernorm_eps: float
+    attn_scale: Optional[float]
+    init_std: float
+    seed: int
+    output_dir: str
+    bench: BenchSettings
+    sweep: Optional[list[AttnConfig]]
 
 
+# The one place where the document's keys and their defaults are written.
 FORWARD_DEFAULTS: dict[str, Any] = {
     "pyramid": {"height": 64, "width": 64, "channels": [8, 16, 32, 64], "batch": 1, "seed": None},
     "decoder": {
@@ -59,27 +65,6 @@ FORWARD_DEFAULTS: dict[str, Any] = {
         "heads": [1, 2, 4, 8],
         "dim_head": 16,
         "mlp_expansion": 4,
-        "lpm_enabled": True,
-        "lpm_reduction": 4,
-        "cross_layer_enabled": [True, True, True, True],
-        "layernorm_eps": 1e-6,
-        "attn_scale": None,
-        "init_std": 0.02,
-    },
-    "bench": {"n_tokens": 1024, "channels": 64, "heads": 8, "repeats": 9, "warmup": 2},
-    "seed": 0,
-    "output_dir": "out",
-    "sweep": None,
-}
-
-GRADCHECK_DEFAULTS: dict[str, Any] = {
-    "pyramid": {"height": 32, "width": 32, "channels": [4, 4, 8, 8], "batch": 1, "seed": None},
-    "decoder": {
-        "mixer": "sca",
-        "num_classes": 2,
-        "heads": [1, 1, 2, 2],
-        "dim_head": 4,
-        "mlp_expansion": 2,
         "lpm_enabled": True,
         "lpm_reduction": 4,
         "cross_layer_enabled": [True, True, True, True],
@@ -119,7 +104,12 @@ def _as_bool(value: Any, field_name: str) -> bool:
 
 def _as_number(value: Any, field_name: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), field_name, "must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    _require(math.isfinite(number), field_name, "must be finite")
+    return number
 
 
 def _four(value: Any, field_name: str) -> list:
@@ -127,19 +117,37 @@ def _four(value: Any, field_name: str) -> list:
     return value
 
 
-def resolve_config(doc: dict, defaults: Optional[dict] = None) -> RunConfig:
-    """Merge a config document over defaults and validate every field."""
-    base = json.loads(json.dumps(defaults if defaults is not None else FORWARD_DEFAULTS))
+def _overlay(doc: Any, defaults: dict) -> dict:
+    """A copy of defaults with doc merged over it, sections one level deep."""
+    base = json.loads(json.dumps(defaults))
     _require(isinstance(doc, dict), "config", "top level must be a JSON object")
     _check_keys(doc, base, "")
-    for section in ("pyramid", "decoder", "bench"):
-        if section in doc:
-            _require(isinstance(doc[section], dict), section, "must be an object")
-            _check_keys(doc[section], base[section], section)
-            base[section].update(doc[section])
-    for key in ("seed", "output_dir", "sweep"):
-        if key in doc:
-            base[key] = doc[key]
+    for key, value in doc.items():
+        if isinstance(base[key], dict):
+            _require(isinstance(value, dict), key, "must be an object")
+            _check_keys(value, base[key], key)
+            base[key].update(value)
+        else:
+            base[key] = value
+    return base
+
+
+# Small enough for a full finite-difference sweep over every parameter.
+GRADCHECK_DEFAULTS: dict[str, Any] = _overlay(
+    {
+        "pyramid": {"height": 32, "width": 32, "channels": [4, 4, 8, 8]},
+        "decoder": {"num_classes": 2, "heads": [1, 1, 2, 2], "dim_head": 4, "mlp_expansion": 2},
+    },
+    FORWARD_DEFAULTS,
+)
+
+# Defaults of one sweep entry; its keys are the AttnConfig fields.
+_SWEEP_ENTRY_DEFAULTS = AttnConfig(n_q=16, n_kv=16, c_q=32, c_kv=32, heads=1, dim_head=32)
+
+
+def resolve_config(doc: dict, defaults: Optional[dict] = None) -> RunConfig:
+    """Merge a config document over defaults and validate every field."""
+    base = _overlay(doc, defaults if defaults is not None else FORWARD_DEFAULTS)
 
     seed = _as_int(base["seed"], "seed")
     pyr = base["pyramid"]
@@ -181,6 +189,7 @@ def resolve_config(doc: dict, defaults: Optional[dict] = None) -> RunConfig:
         attn_scale = _as_number(attn_scale, "decoder.attn_scale")
         _require(attn_scale > 0, "decoder.attn_scale", "must be positive")
     init_std = _as_number(dec["init_std"], "decoder.init_std")
+    _require(init_std >= 0, "decoder.init_std", "must be >= 0")
 
     bench_doc = base["bench"]
     bench = BenchSettings(
@@ -197,20 +206,12 @@ def resolve_config(doc: dict, defaults: Optional[dict] = None) -> RunConfig:
         raw = base["sweep"]
         _require(isinstance(raw, list) and raw, "sweep", "must be a non-empty list")
         sweep_cfgs = []
+        entry_defaults = asdict(_SWEEP_ENTRY_DEFAULTS)
         for i, entry in enumerate(raw):
             _require(isinstance(entry, dict), f"sweep[{i}]", "must be an object")
-            allowed = {"n_q": 0, "n_kv": 0, "c_q": 0, "c_kv": 0, "heads": 0, "dim_head": 0}
-            _check_keys(entry, allowed, f"sweep[{i}]")
-            sweep_cfgs.append(
-                AttnConfig(
-                    n_q=_as_int(entry.get("n_q", 16), f"sweep[{i}].n_q", 1),
-                    n_kv=_as_int(entry.get("n_kv", 16), f"sweep[{i}].n_kv", 1),
-                    c_q=_as_int(entry.get("c_q", 32), f"sweep[{i}].c_q", 1),
-                    c_kv=_as_int(entry.get("c_kv", 32), f"sweep[{i}].c_kv", 1),
-                    heads=_as_int(entry.get("heads", 1), f"sweep[{i}].heads", 1),
-                    dim_head=_as_int(entry.get("dim_head", 32), f"sweep[{i}].dim_head", 1),
-                )
-            )
+            _check_keys(entry, entry_defaults, f"sweep[{i}]")
+            merged = {**entry_defaults, **entry}
+            sweep_cfgs.append(AttnConfig(**{k: _as_int(merged[k], f"sweep[{i}].{k}", 1) for k in entry_defaults}))
 
     output_dir = base["output_dir"]
     _require(isinstance(output_dir, str) and output_dir, "output_dir", "must be a non-empty string")
@@ -245,52 +246,15 @@ def load_config(path: Union[str, Path], defaults: Optional[dict] = None) -> RunC
     return resolve_config(doc, defaults)
 
 
+# Document key -> RunConfig field, where the two differ.
+_FIELD_OF_KEY = {"mixer": "mixer_kind"}
+
+
 def config_echo(cfg: RunConfig) -> dict:
     """Fully resolved document, valid as input; defaults made explicit."""
-    doc = {
-        "pyramid": {
-            "height": cfg.pyramid.height,
-            "width": cfg.pyramid.width,
-            "channels": list(cfg.pyramid.channels),
-            "batch": cfg.pyramid.batch,
-            "seed": cfg.pyramid.seed,
-        },
-        "decoder": {
-            "mixer": cfg.mixer_kind,
-            "num_classes": cfg.num_classes,
-            "heads": list(cfg.heads),
-            "dim_head": cfg.dim_head,
-            "mlp_expansion": cfg.mlp_expansion,
-            "lpm_enabled": cfg.lpm_enabled,
-            "lpm_reduction": cfg.lpm_reduction,
-            "cross_layer_enabled": list(cfg.cross_layer_enabled),
-            "layernorm_eps": cfg.layernorm_eps,
-            "attn_scale": cfg.attn_scale,
-            "init_std": cfg.init_std,
-        },
-        "bench": {
-            "n_tokens": cfg.bench.n_tokens,
-            "channels": cfg.bench.channels,
-            "heads": cfg.bench.heads,
-            "repeats": cfg.bench.repeats,
-            "warmup": cfg.bench.warmup,
-        },
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-        "sweep": None
-        if cfg.sweep is None
-        else [
-            {
-                "n_q": c.n_q,
-                "n_kv": c.n_kv,
-                "c_q": c.c_q,
-                "c_kv": c.c_kv,
-                "heads": c.heads,
-                "dim_head": c.dim_head,
-            }
-            for c in cfg.sweep
-        ],
-    }
+    values = json.loads(json.dumps(asdict(cfg)))  # tuples become JSON lists
+    doc = {key: values[key] for key in FORWARD_DEFAULTS if key != "decoder"}
+    doc["decoder"] = {key: values[_FIELD_OF_KEY.get(key, key)] for key in FORWARD_DEFAULTS["decoder"]}
     return doc
 
 

@@ -15,16 +15,15 @@ token count stays small and constant across stages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .attention import (
-    SCAParams,
-    VanillaAttnParams,
+    MIXER_KINDS,
+    AttnParams,
     cross_attention,
-    init_sca_params,
-    init_vanilla_params,
+    init_mixer_params,
     self_attention,
     strip_cross_attention,
 )
@@ -50,8 +49,6 @@ from .tensor import (
     sigmoid,
     transpose,
 )
-
-MIXER_KINDS = ("sa", "ca", "sca")
 
 
 @dataclass
@@ -89,7 +86,7 @@ class CLBParams:
     ln2_beta: np.ndarray
     ln3_gamma: np.ndarray
     ln3_beta: np.ndarray
-    mixer: Union[SCAParams, VanillaAttnParams]
+    mixer: AttnParams
     lpm: LPMParams
     mlp_fc1: LinearParams
     mlp_fc2: LinearParams
@@ -193,10 +190,8 @@ def clb(
         att = self_attention(q_in, p.mixer)
     else:
         kv_in = layernorm(m, p.ln_kv_gamma, p.ln_kv_beta, eps)
-        if mixer_kind == "ca":
-            att = cross_attention(q_in, kv_in, p.mixer)
-        else:
-            att = strip_cross_attention(q_in, kv_in, p.mixer)
+        mixer = strip_cross_attention if mixer_kind == "sca" else cross_attention
+        att = mixer(q_in, kv_in, p.mixer)
     z_g = add(att.out, f)
     if lpm_enabled:
         z_gl = add(lpm(layernorm(z_g, p.ln2_gamma, p.ln2_beta, eps), h, w, p.lpm), z_g)
@@ -312,8 +307,6 @@ def init_decoder_params(
     LPM entry layernorm gain is zeroed too, because the module keeps an
     internal shortcut from its (normalized) input.
     """
-    if mixer_kind not in MIXER_KINDS:
-        raise ValueError(f"unknown mixer kind {mixer_kind!r}")
     if len(channels) != 4 or len(heads) != 4:
         raise ValueError("channels and heads must list four stages")
     total_c = int(sum(channels))
@@ -323,12 +316,7 @@ def init_decoder_params(
         c = int(channels[stage - 1])
         c_kv = total_c if cross_layer_enabled[stage - 1] else c
         stream = substream(seed, 100 + stage)
-        if mixer_kind == "sca":
-            mixer = init_sca_params(c, c_kv, heads[stage - 1], dim_head, stream, init_std, attn_scale)
-        elif mixer_kind == "ca":
-            mixer = init_vanilla_params(c, c_kv, heads[stage - 1], dim_head, stream, init_std, attn_scale)
-        else:
-            mixer = init_vanilla_params(c, c, heads[stage - 1], dim_head, stream, init_std, attn_scale)
+        mixer = init_mixer_params(mixer_kind, c, c_kv, heads[stage - 1], dim_head, stream, init_std, attn_scale)
         lpm_params = _init_lpm(c, lpm_reduction, stream, init_std)
         hidden = mlp_expansion * c
         block = CLBParams(

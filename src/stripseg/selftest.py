@@ -10,15 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import (
-    init_sca_params,
-    init_vanilla_params,
-    oracle_attention,
-    oracle_strip_attention,
-    cross_attention,
-    self_attention,
-    strip_cross_attention,
-)
+from .attention import MIXER_KINDS, cross_attention, init_mixer_params, oracle_attention, strip_cross_attention
 from .config import build_decoder_params, build_pyramid, resolve_config
 from .decoder import decode
 from .synth import normal_array, substream
@@ -41,22 +33,18 @@ def suite_oracle_equivalence() -> bool:
     ):
         c_q, c_kv = 6, 9
         stream, xq, xkv = _case(seed, n_q, n_kv, c_q, c_kv, heads, dim_head)
-        sp = init_sca_params(c_q, c_kv, heads, dim_head, stream)
-        vp = init_vanilla_params(c_q, c_kv, heads, dim_head, stream)
-        ap = init_vanilla_params(c_q, c_q, heads, dim_head, stream)
-        sca_fast = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(sp, None)[0]).out.data
-        ca_fast = cross_attention(Tensor(xq), Tensor(xkv), bind_params(vp, None)[0]).out.data
-        sa_fast = self_attention(Tensor(xq), bind_params(ap, None)[0]).out.data
-        ok &= np.abs(sca_fast - oracle_strip_attention(xq, xkv, sp)).max() < _TOL
-        ok &= np.abs(ca_fast - oracle_attention(xq, xkv, vp)).max() < _TOL
-        ok &= np.abs(sa_fast - oracle_attention(xq, xq, ap)).max() < _TOL
+        for kind in MIXER_KINDS:
+            p = init_mixer_params(kind, c_q, c_kv, heads, dim_head, stream)
+            src = xq if kind == "sa" else xkv
+            fast = cross_attention(Tensor(xq), Tensor(src), bind_params(p, None)[0]).out.data
+            ok &= np.abs(fast - oracle_attention(xq, src, p)).max() < _TOL
     return bool(ok)
 
 
 def suite_invariants() -> bool:
     ok = True
     stream, xq, xkv = _case(99, 5, 8, 6, 10, 2, 3)
-    sp = bind_params(init_sca_params(6, 10, 2, 3, stream), None)[0]
+    sp = bind_params(init_mixer_params("sca", 6, 10, 2, 3, stream), None)[0]
     res = strip_cross_attention(Tensor(xq), Tensor(xkv), sp)
     ok &= np.abs(res.attn.data.sum(axis=-1) - 1.0).max() < _TOL
 
@@ -67,7 +55,7 @@ def suite_invariants() -> bool:
     # rebuild byte-identical parameters, then shift every key strip; the
     # shift lands constant along each softmax row, so attention is unmoved
     stream2, _, _ = _case(99, 5, 8, 6, 10, 2, 3)
-    shifted = init_sca_params(6, 10, 2, 3, stream2)
+    shifted = init_mixer_params("sca", 6, 10, 2, 3, stream2)
     shifted.wk.bias += 3.7
     res_shift = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(shifted, None)[0])
     ok &= np.abs(res_shift.attn.data - res.attn.data).max() < _TOL

@@ -11,10 +11,8 @@ from conftest import op_gradcheck, rand_uniform
 
 from stripseg.analysis import AttnConfig, bench_mixer, closed_form_flops, count_flops, decode_macs
 from stripseg.attention import (
-    init_sca_params,
-    init_vanilla_params,
+    init_mixer_params,
     oracle_attention,
-    oracle_strip_attention,
     cross_attention,
     self_attention,
     strip_cross_attention,
@@ -88,11 +86,11 @@ def test_criterion_2_oracle_equivalence():
             stream = substream(seed, 29)
             xq = normal_array(stream, (1, n_q, 5))
             xkv = normal_array(stream, (1, n_kv, 7))
-            sp = init_sca_params(5, 7, heads, 3, stream)
-            vp = init_vanilla_params(5, 7, heads, 3, stream)
-            ap = init_vanilla_params(5, 5, heads, 3, stream)
+            sp = init_mixer_params("sca", 5, 7, heads, 3, stream)
+            vp = init_mixer_params("ca", 5, 7, heads, 3, stream)
+            ap = init_mixer_params("ca", 5, 5, heads, 3, stream)
             got = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(sp, None)[0])
-            assert np.abs(got.out.data - oracle_strip_attention(xq, xkv, sp)).max() < 1e-10
+            assert np.abs(got.out.data - oracle_attention(xq, xkv, sp)).max() < 1e-10
             got = cross_attention(Tensor(xq), Tensor(xkv), bind_params(vp, None)[0])
             assert np.abs(got.out.data - oracle_attention(xq, xkv, vp)).max() < 1e-10
             got = self_attention(Tensor(xq), bind_params(ap, None)[0])
@@ -160,7 +158,7 @@ def test_criterion_4_structural_identities():
     stream = substream(4000, 31)
     xq = normal_array(stream, (1, 6, 5))
     xkv = normal_array(stream, (1, 9, 7))
-    sp = init_sca_params(5, 7, 2, 3, stream)
+    sp = init_mixer_params("sca", 5, 7, 2, 3, stream)
     res = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(sp, None)[0])
     assert np.abs(res.attn.data.sum(axis=-1) - 1.0).max() < 1e-10
 
@@ -174,7 +172,7 @@ def test_criterion_4_structural_identities():
     stream2 = substream(4000, 31)
     normal_array(stream2, (1, 6, 5))
     normal_array(stream2, (1, 9, 7))
-    shifted = init_sca_params(5, 7, 2, 3, stream2)
+    shifted = init_mixer_params("sca", 5, 7, 2, 3, stream2)
     shifted.wk.bias += 4.2
     res_shift = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(shifted, None)[0])
     assert np.abs(res_shift.attn.data - res.attn.data).max() < 1e-10

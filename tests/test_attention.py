@@ -5,10 +5,8 @@ import pytest
 from conftest import op_gradcheck
 
 from stripseg.attention import (
-    init_sca_params,
-    init_vanilla_params,
+    init_mixer_params,
     oracle_attention,
-    oracle_strip_attention,
     cross_attention,
     self_attention,
     strip_cross_attention,
@@ -24,9 +22,9 @@ def make_case(seed, n_q, n_kv, c_q, c_kv, heads, dim_head, kind="sca"):
     xq = normal_array(stream, (1, n_q, c_q))
     xkv = normal_array(stream, (1, n_kv, c_kv))
     if kind == "sca":
-        params = init_sca_params(c_q, c_kv, heads, dim_head, stream)
+        params = init_mixer_params("sca", c_q, c_kv, heads, dim_head, stream)
     else:
-        params = init_vanilla_params(c_q, c_kv, heads, dim_head, stream)
+        params = init_mixer_params("ca", c_q, c_kv, heads, dim_head, stream)
     return xq, xkv, params
 
 
@@ -94,7 +92,7 @@ class TestStripCrossAttention:
     def test_matches_oracle(self):
         xq, xkv, p = make_case(8, 4, 6, 5, 8, 2, 3)
         res = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(p, None)[0])
-        assert np.abs(res.out.data - oracle_strip_attention(xq, xkv, p)).max() < ORACLE_TOL
+        assert np.abs(res.out.data - oracle_attention(xq, xkv, p)).max() < ORACLE_TOL
 
 
 def _equivalence_cases():
@@ -112,7 +110,7 @@ class TestOracleEquivalence:
     def test_strip_matches_oracle(self, seed, n_q, n_kv, heads):
         xq, xkv, p = make_case(seed, n_q, n_kv, 5, 7, heads, 3)
         res = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(p, None)[0])
-        assert np.abs(res.out.data - oracle_strip_attention(xq, xkv, p)).max() < ORACLE_TOL
+        assert np.abs(res.out.data - oracle_attention(xq, xkv, p)).max() < ORACLE_TOL
 
     @pytest.mark.parametrize("seed,n_q,n_kv,heads", _equivalence_cases())
     def test_vanilla_matches_oracle(self, seed, n_q, n_kv, heads):
@@ -123,13 +121,13 @@ class TestOracleEquivalence:
     def test_oracle_single_token_closed_form(self):
         xq, xkv, p = make_case(990, 1, 1, 4, 6, 2, 3)
         expect = run_linear(run_linear(xkv, p.wv), p.wo)
-        np.testing.assert_allclose(oracle_strip_attention(xq, xkv, p), expect, atol=1e-12)
+        np.testing.assert_allclose(oracle_attention(xq, xkv, p), expect, atol=1e-12)
 
     def test_oracle_key_permutation_invariance(self):
         xq, xkv, p = make_case(991, 3, 6, 4, 6, 2, 3)
         perm = [4, 0, 5, 2, 1, 3]
-        base = oracle_strip_attention(xq, xkv, p)
-        permuted = oracle_strip_attention(xq, xkv[:, perm, :], p)
+        base = oracle_attention(xq, xkv, p)
+        permuted = oracle_attention(xq, xkv[:, perm, :], p)
         np.testing.assert_allclose(base, permuted, atol=1e-12)
 
 
@@ -139,7 +137,7 @@ class TestInvariants:
         xq, xkv, p = make_case(30, 5, 7, 4, 6, 2, 3, kind="sca" if kind == "sca" else "vanilla")
         bound, _ = bind_params(p, None)
         if kind == "sa":
-            res = self_attention(Tensor(xq), bind_params(init_vanilla_params(4, 4, 2, 3, substream(31, 23)), None)[0])
+            res = self_attention(Tensor(xq), bind_params(init_mixer_params("ca", 4, 4, 2, 3, substream(31, 23)), None)[0])
         elif kind == "ca":
             res = cross_attention(Tensor(xq), Tensor(xkv), bound)
         else:
@@ -189,7 +187,7 @@ class TestAttentionGradients:
         stream = substream(40, 23)
         xq = normal_array(stream, (1, 3, 4))
         xkv = normal_array(stream, (1, 5, 6))
-        p = init_sca_params(4, 6, 2, 3, stream)
+        p = init_mixer_params("sca", 4, 6, 2, 3, stream)
 
         def build(xq_t, xkv_t, wq_w, wq_b, wk_w, wk_b, wv_w, wv_b, wo_w, wo_b):
             q = type(p)(
@@ -211,7 +209,7 @@ class TestAttentionGradients:
         stream = substream(41, 23)
         xq = normal_array(stream, (1, 3, 4))
         xkv = normal_array(stream, (1, 4, 5))
-        p = init_vanilla_params(4, 5, 2, 2, stream)
+        p = init_mixer_params("ca", 4, 5, 2, 2, stream)
 
         def build(xq_t, xkv_t, wq_w, wq_b, wk_w, wk_b, wv_w, wv_b, wo_w, wo_b):
             q = type(p)(

@@ -1,10 +1,15 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from stripseg.cli import main
+from stripseg.config import FORWARD_DEFAULTS, GRADCHECK_DEFAULTS, config_echo, resolve_config
 from stripseg.scat import load_scat
 
 TINY_GRADCHECK = {
@@ -72,6 +77,58 @@ class TestForward:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["forward", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "decoder,field",
+        [
+            ({"init_std": float("nan")}, "decoder.init_std"),
+            ({"init_std": -0.02}, "decoder.init_std"),
+            ({"init_std": 10**400}, "decoder.init_std"),
+            ({"attn_scale": float("inf")}, "decoder.attn_scale"),
+        ],
+        ids=["init_std-nan", "init_std-negative", "init_std-huge-int", "attn_scale-inf"],
+    )
+    def test_non_finite_or_negative_number_is_config_error(self, tmp_path, capsys, decoder, field):
+        cfg = write_config(tmp_path, {"decoder": decoder})
+        out = tmp_path / "run"
+        assert main(["forward", "--config", cfg, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["forward", "--out", str(blocker / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "doc,defaults",
+        [
+            ({}, FORWARD_DEFAULTS),
+            ({}, GRADCHECK_DEFAULTS),
+            (
+                {
+                    "bench": {"n_tokens": 16, "channels": 8, "heads": 2, "repeats": 11, "warmup": 3},
+                    "sweep": [{"n_q": 4, "n_kv": 6, "c_q": 8, "c_kv": 10, "heads": 2, "dim_head": 4}, {"n_q": 2}],
+                },
+                FORWARD_DEFAULTS,
+            ),
+        ],
+        ids=["forward-defaults", "gradcheck-defaults", "sweep-and-bench"],
+    )
+    def test_echo_round_trips(self, doc, defaults):
+        cfg = resolve_config(doc, defaults)
+        assert resolve_config(config_echo(cfg)) == cfg
+
+    def test_readme_defaults_match_forward_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"Defaults shown:\s*```json\n(.*?)```", readme, re.S)
+        assert block is not None
+        assert json.loads(block.group(1)) == FORWARD_DEFAULTS
 
 
 class TestGradcheck:

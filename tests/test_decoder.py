@@ -7,7 +7,7 @@ import pytest
 from conftest import rand_normal
 from scipy.special import erf
 
-from stripseg.attention import oracle_strip_attention
+from stripseg.attention import oracle_attention
 from stripseg.config import build_decoder_params, build_pyramid, resolve_config
 from stripseg.decoder import build_mixed_kv, clb, decode, init_decoder_params, lpm
 from stripseg.gradcheck import fd_gradient, max_rel_error
@@ -84,7 +84,7 @@ def clb_strip_oracle(f, m, h, w, p, eps=1e-6):
     """Composed reference: oracle mixer + loop LPM + explicit numpy MLP."""
     q = np_layernorm(f, p.ln1_gamma, p.ln1_beta, eps)
     kv = np_layernorm(m, p.ln_kv_gamma, p.ln_kv_beta, eps)
-    z_g = oracle_strip_attention(q, kv, p.mixer) + f
+    z_g = oracle_attention(q, kv, p.mixer) + f
     z_gl = lpm_loop_oracle(np_layernorm(z_g, p.ln2_gamma, p.ln2_beta, eps), h, w, p.lpm) + z_g
     x3 = np_layernorm(z_gl, p.ln3_gamma, p.ln3_beta, eps)
     hidden = x3 @ p.mlp_fc1.weight.T + p.mlp_fc1.bias
