@@ -20,6 +20,7 @@ from .decoder import (
     CLBParams,
     DecodeTrace,
     DecoderParams,
+    DecoderSpec,
     LPMParams,
     build_mixed_kv,
     clb,

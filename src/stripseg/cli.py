@@ -28,7 +28,7 @@ from .config import (
 )
 from .decoder import decode
 from .gradcheck import decoder_gradcheck
-from .scat import save_scat
+from .scat import scat_bytes
 from .tensor import ShapeError, set_backward_tamper
 
 GRADCHECK_THRESHOLD = 1e-3
@@ -54,14 +54,23 @@ def cmd_forward(args) -> int:
     pyramid = build_pyramid(cfg)
     params = build_decoder_params(cfg)
     trace = decode(pyramid, params)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_scat(out_dir / "mask.scat", trace.mask)
+    outputs = {"mask": trace.mask}
     if args.dump_trace:
         for stage in range(1, 5):
-            save_scat(out_dir / f"M{stage}.scat", trace.mixed[stage - 1])
-            save_scat(out_dir / f"D{stage}.scat", trace.decoded[stage - 1])
-            save_scat(out_dir / f"attn{stage}.scat", trace.attn[stage - 1])
+            outputs[f"M{stage}"] = trace.mixed[stage - 1]
+            outputs[f"D{stage}"] = trace.decoded[stage - 1]
+            outputs[f"attn{stage}"] = trace.attn[stage - 1]
+    # Encode every file before writing any, so a value SCAT refuses leaves no partial run behind.
+    files = {}
+    for name, value in outputs.items():
+        try:
+            files[f"{name}.scat"] = scat_bytes(value)
+        except ValueError as exc:
+            raise ValueError(f"{name}.scat: {exc}") from exc
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for filename, raw in files.items():
+        (out_dir / filename).write_bytes(raw)
     _write_run_json(cfg, out_dir)
     print(f"mask {list(trace.mask.shape)} -> {out_dir / 'mask.scat'}")
     return 0

@@ -16,7 +16,7 @@ from typing import Any, Optional, Union
 
 from .analysis import AttnConfig
 from .attention import MIXER_KINDS
-from .decoder import DecoderParams, init_decoder_params
+from .decoder import DecoderParams, DecoderSpec, init_decoder_params
 from .synth import FeaturePyramid, PyramidSpec, generate_pyramid
 
 
@@ -35,25 +35,18 @@ class BenchSettings:
 
 @dataclass
 class RunConfig:
-    """A resolved run; its fields are the keys of FORWARD_DEFAULTS, with the
-    decoder section flattened and decoder.mixer stored as mixer_kind."""
+    """A resolved run; its fields are the keys of FORWARD_DEFAULTS, in order."""
 
     pyramid: PyramidSpec
-    mixer_kind: str
-    num_classes: int
-    heads: tuple[int, int, int, int]
-    dim_head: int
-    mlp_expansion: int
-    lpm_enabled: bool
-    lpm_reduction: int
-    cross_layer_enabled: tuple[bool, bool, bool, bool]
-    layernorm_eps: float
-    attn_scale: Optional[float]
-    init_std: float
+    decoder: DecoderSpec
+    bench: BenchSettings
     seed: int
     output_dir: str
-    bench: BenchSettings
     sweep: Optional[list[AttnConfig]]
+
+    @property
+    def num_classes(self) -> int:
+        return self.decoder.num_classes
 
 
 # The one place where the document's keys and their defaults are written.
@@ -190,6 +183,19 @@ def resolve_config(doc: dict, defaults: Optional[dict] = None) -> RunConfig:
         _require(attn_scale > 0, "decoder.attn_scale", "must be positive")
     init_std = _as_number(dec["init_std"], "decoder.init_std")
     _require(init_std >= 0, "decoder.init_std", "must be >= 0")
+    decoder = DecoderSpec(
+        mixer=mixer,
+        num_classes=num_classes,
+        heads=heads,
+        dim_head=dim_head,
+        mlp_expansion=mlp_expansion,
+        lpm_enabled=lpm_enabled,
+        lpm_reduction=lpm_reduction,
+        cross_layer_enabled=cross,
+        layernorm_eps=eps,
+        attn_scale=attn_scale,
+        init_std=init_std,
+    )
 
     bench_doc = base["bench"]
     bench = BenchSettings(
@@ -218,20 +224,10 @@ def resolve_config(doc: dict, defaults: Optional[dict] = None) -> RunConfig:
 
     return RunConfig(
         pyramid=PyramidSpec(height=height, width=width, channels=channels, batch=batch, seed=pyramid_seed),
-        mixer_kind=mixer,
-        num_classes=num_classes,
-        heads=heads,
-        dim_head=dim_head,
-        mlp_expansion=mlp_expansion,
-        lpm_enabled=lpm_enabled,
-        lpm_reduction=lpm_reduction,
-        cross_layer_enabled=cross,
-        layernorm_eps=eps,
-        attn_scale=attn_scale,
-        init_std=init_std,
+        decoder=decoder,
+        bench=bench,
         seed=seed,
         output_dir=output_dir,
-        bench=bench,
         sweep=sweep_cfgs,
     )
 
@@ -246,16 +242,9 @@ def load_config(path: Union[str, Path], defaults: Optional[dict] = None) -> RunC
     return resolve_config(doc, defaults)
 
 
-# Document key -> RunConfig field, where the two differ.
-_FIELD_OF_KEY = {"mixer": "mixer_kind"}
-
-
 def config_echo(cfg: RunConfig) -> dict:
     """Fully resolved document, valid as input; defaults made explicit."""
-    values = json.loads(json.dumps(asdict(cfg)))  # tuples become JSON lists
-    doc = {key: values[key] for key in FORWARD_DEFAULTS if key != "decoder"}
-    doc["decoder"] = {key: values[_FIELD_OF_KEY.get(key, key)] for key in FORWARD_DEFAULTS["decoder"]}
-    return doc
+    return json.loads(json.dumps(asdict(cfg)))  # tuples become JSON lists
 
 
 def build_pyramid(cfg: RunConfig) -> FeaturePyramid:
@@ -264,21 +253,6 @@ def build_pyramid(cfg: RunConfig) -> FeaturePyramid:
 
 def build_decoder_params(cfg: RunConfig, zero_residual: bool = False) -> DecoderParams:
     try:
-        return init_decoder_params(
-            channels=cfg.pyramid.channels,
-            heads=cfg.heads,
-            dim_head=cfg.dim_head,
-            num_classes=cfg.num_classes,
-            mixer_kind=cfg.mixer_kind,
-            cross_layer_enabled=cfg.cross_layer_enabled,
-            lpm_enabled=cfg.lpm_enabled,
-            mlp_expansion=cfg.mlp_expansion,
-            lpm_reduction=cfg.lpm_reduction,
-            eps=cfg.layernorm_eps,
-            seed=cfg.seed,
-            init_std=cfg.init_std,
-            attn_scale=cfg.attn_scale,
-            zero_residual=zero_residual,
-        )
+        return init_decoder_params(cfg.pyramid.channels, cfg.decoder, cfg.seed, zero_residual)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -51,6 +51,30 @@ from .tensor import (
 )
 
 
+@dataclass(frozen=True)
+class DecoderSpec:
+    """Settings of the decoder head.
+
+    The fields are the keys of the config document's decoder section, in
+    the same order; they have no defaults, so the document's defaults are
+    written in one place only. mixer is one of MIXER_KINDS; heads and
+    cross_layer_enabled list stages 1..4; attn_scale None means
+    1/sqrt(qk width).
+    """
+
+    mixer: str
+    num_classes: int
+    heads: tuple[int, int, int, int]
+    dim_head: int
+    mlp_expansion: int
+    lpm_enabled: bool
+    lpm_reduction: int
+    cross_layer_enabled: tuple[bool, bool, bool, bool]
+    layernorm_eps: float
+    attn_scale: Optional[float]
+    init_std: float
+
+
 @dataclass
 class LPMParams:
     """Local perception module: depthwise convs plus a squeeze-excite gate.
@@ -67,7 +91,6 @@ class LPMParams:
     fc2: LinearParams
     dw_out_kernel: np.ndarray
     dw_out_bias: np.ndarray
-    reduction: int = 4
 
 
 @dataclass
@@ -94,15 +117,12 @@ class CLBParams:
 
 @dataclass
 class DecoderParams:
-    """Whole-head parameter bundle; clb[i] serves stage i+1."""
+    """Whole-head parameter bundle; clb[i] serves stage i+1, spec holds the
+    settings the arrays were built for."""
 
     clb: list
     fuse_mlp: LinearParams
-    num_classes: int
-    cross_layer_enabled: tuple[bool, bool, bool, bool]
-    mixer_kind: str
-    lpm_enabled: bool
-    eps: float = 1e-6
+    spec: DecoderSpec
 
 
 @dataclass
@@ -226,7 +246,7 @@ def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] 
                 f"pyramid provides {c_stage}"
             )
         try:
-            if params.cross_layer_enabled[stage - 1]:
+            if params.spec.cross_layer_enabled[stage - 1]:
                 m = build_mixed_kv(feats, decoded_grid, stage)
             else:
                 m = tokens_from_grid(adaptive_avg_pool(feats[stage - 1], h4, w4))
@@ -237,9 +257,9 @@ def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] 
                 h_s,
                 w_s,
                 block,
-                params.mixer_kind,
-                params.lpm_enabled,
-                params.eps,
+                params.spec.mixer,
+                params.spec.lpm_enabled,
+                params.spec.layernorm_eps,
             )
         except ShapeError as exc:
             raise ShapeError(f"stage {stage}: {exc}") from exc
@@ -279,27 +299,16 @@ def _init_lpm(channels: int, reduction: int, stream, std: float) -> LPMParams:
         fc2=LinearParams(normal_array(stream, (channels, hidden)) * std, np.zeros(channels)),
         dw_out_kernel=normal_array(stream, (channels,)) * std,
         dw_out_bias=np.zeros(channels),
-        reduction=reduction,
     )
 
 
 def init_decoder_params(
     channels: Sequence[int],
-    heads: Sequence[int],
-    dim_head: int,
-    num_classes: int,
-    mixer_kind: str = "sca",
-    cross_layer_enabled: Sequence[bool] = (True, True, True, True),
-    lpm_enabled: bool = True,
-    mlp_expansion: int = 4,
-    lpm_reduction: int = 4,
-    eps: float = 1e-6,
-    seed: int = 0,
-    init_std: float = 0.02,
-    attn_scale: Optional[float] = None,
+    spec: DecoderSpec,
+    seed: int,
     zero_residual: bool = False,
 ) -> DecoderParams:
-    """Seeded decoder parameters: normal(0, init_std) weights, zero biases.
+    """Seeded decoder parameters: normal(0, spec.init_std) weights, zero biases.
 
     zero_residual forces every residual branch to contribute exactly zero,
     turning each block into the identity map: the mixer and MLP output
@@ -307,18 +316,20 @@ def init_decoder_params(
     LPM entry layernorm gain is zeroed too, because the module keeps an
     internal shortcut from its (normalized) input.
     """
-    if len(channels) != 4 or len(heads) != 4:
-        raise ValueError("channels and heads must list four stages")
+    if len(channels) != 4 or len(spec.heads) != 4 or len(spec.cross_layer_enabled) != 4:
+        raise ValueError("channels, heads and cross_layer_enabled must list four stages")
+    init_std = spec.init_std
     total_c = int(sum(channels))
-    cross_layer_enabled = tuple(bool(b) for b in cross_layer_enabled)
     blocks = []
     for stage in range(1, 5):
         c = int(channels[stage - 1])
-        c_kv = total_c if cross_layer_enabled[stage - 1] else c
+        c_kv = total_c if spec.cross_layer_enabled[stage - 1] else c
         stream = substream(seed, 100 + stage)
-        mixer = init_mixer_params(mixer_kind, c, c_kv, heads[stage - 1], dim_head, stream, init_std, attn_scale)
-        lpm_params = _init_lpm(c, lpm_reduction, stream, init_std)
-        hidden = mlp_expansion * c
+        mixer = init_mixer_params(
+            spec.mixer, c, c_kv, spec.heads[stage - 1], spec.dim_head, stream, init_std, spec.attn_scale
+        )
+        lpm_params = _init_lpm(c, spec.lpm_reduction, stream, init_std)
+        hidden = spec.mlp_expansion * c
         block = CLBParams(
             ln1_gamma=np.ones(c),
             ln1_beta=np.zeros(c),
@@ -342,15 +353,7 @@ def init_decoder_params(
 
     fuse_stream = substream(seed, 100)
     fuse = LinearParams(
-        normal_array(fuse_stream, (num_classes, total_c)) * init_std,
-        np.zeros(num_classes),
+        normal_array(fuse_stream, (spec.num_classes, total_c)) * init_std,
+        np.zeros(spec.num_classes),
     )
-    return DecoderParams(
-        clb=blocks,
-        fuse_mlp=fuse,
-        num_classes=num_classes,
-        cross_layer_enabled=cross_layer_enabled,
-        mixer_kind=mixer_kind,
-        lpm_enabled=lpm_enabled,
-        eps=eps,
-    )
+    return DecoderParams(clb=blocks, fuse_mlp=fuse, spec=spec)

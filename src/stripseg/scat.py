@@ -2,7 +2,9 @@
 
 Layout: bytes 0-3 magic "SCAT"; byte 4 version (1); byte 5 ndim (u8);
 then ndim little-endian u32 extents; then the row-major float32
-little-endian payload, narrowed from the internal fp64 values.
+little-endian payload, narrowed from the internal fp64 values. Values that
+do not narrow to a finite float32 (NaN, infinities, magnitudes beyond the
+float32 range) are refused, so a written file always holds finite values.
 """
 
 from __future__ import annotations
@@ -25,10 +27,18 @@ def scat_bytes(value: Union[Tensor, np.ndarray]) -> bytes:
         raise ValueError("SCAT v1 supports at most 255 dimensions")
     if any(e > 0xFFFFFFFF for e in arr.shape):
         raise ValueError("SCAT v1 extents must fit in u32")
+    with np.errstate(over="ignore"):
+        narrowed = np.ascontiguousarray(arr, dtype="<f4")
+    finite = np.isfinite(narrowed)
+    if not finite.all():
+        first = tuple(int(i) for i in np.unravel_index(np.argmin(finite), arr.shape))
+        raise ValueError(
+            f"SCAT cannot hold {finite.size - np.count_nonzero(finite)} value(s) that are "
+            f"non-finite or beyond the float32 range; the first is at index {first}"
+        )
     header = MAGIC + struct.pack("<BB", VERSION, arr.ndim)
     extents = struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    return header + extents + payload
+    return header + extents + narrowed.tobytes()
 
 
 def save_scat(path: Union[str, Path], value: Union[Tensor, np.ndarray]) -> None:

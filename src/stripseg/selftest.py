@@ -19,7 +19,7 @@ from .tensor import Tape, Tensor, backward, bilinear_resize, bind_params, adapti
 _TOL = 1e-10
 
 
-def _case(seed: int, n_q: int, n_kv: int, c_q: int, c_kv: int, heads: int, dim_head: int):
+def _case(seed: int, n_q: int, n_kv: int, c_q: int, c_kv: int):
     stream = substream(seed, 11)
     xq = normal_array(stream, (1, n_q, c_q))
     xkv = normal_array(stream, (1, n_kv, c_kv))
@@ -32,7 +32,7 @@ def suite_oracle_equivalence() -> bool:
         [(3, 5, 1, 4), (1, 6, 2, 3), (7, 7, 4, 2), (4, 2, 2, 5)]
     ):
         c_q, c_kv = 6, 9
-        stream, xq, xkv = _case(seed, n_q, n_kv, c_q, c_kv, heads, dim_head)
+        stream, xq, xkv = _case(seed, n_q, n_kv, c_q, c_kv)
         for kind in MIXER_KINDS:
             p = init_mixer_params(kind, c_q, c_kv, heads, dim_head, stream)
             src = xq if kind == "sa" else xkv
@@ -43,7 +43,7 @@ def suite_oracle_equivalence() -> bool:
 
 def suite_invariants() -> bool:
     ok = True
-    stream, xq, xkv = _case(99, 5, 8, 6, 10, 2, 3)
+    stream, xq, xkv = _case(99, 5, 8, 6, 10)
     sp = bind_params(init_mixer_params("sca", 6, 10, 2, 3, stream), None)[0]
     res = strip_cross_attention(Tensor(xq), Tensor(xkv), sp)
     ok &= np.abs(res.attn.data.sum(axis=-1) - 1.0).max() < _TOL
@@ -54,7 +54,7 @@ def suite_invariants() -> bool:
 
     # rebuild byte-identical parameters, then shift every key strip; the
     # shift lands constant along each softmax row, so attention is unmoved
-    stream2, _, _ = _case(99, 5, 8, 6, 10, 2, 3)
+    stream2, _, _ = _case(99, 5, 8, 6, 10)
     shifted = init_mixer_params("sca", 6, 10, 2, 3, stream2)
     shifted.wk.bias += 3.7
     res_shift = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(shifted, None)[0])

@@ -38,9 +38,6 @@ class RandomStream:
         """Uniform in [0, 1) from the top 53 bits of one output."""
         return (self.next_u64() >> 11) / 9007199254740992.0
 
-    def normal(self) -> float:
-        return standard_normal(self)
-
 
 def standard_normal(stream: RandomStream) -> float:
     """One N(0,1) draw via Box-Muller on two consecutive 53-bit uniforms.

@@ -504,10 +504,9 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
-    mask = x.data > 0
 
     def backward_fn(g):
-        return (g * mask,)
+        return (g * (x.data > 0),)
 
     return _emit(out, (x,), backward_fn)
 
@@ -516,9 +515,9 @@ def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error-function GELU."""
     cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
     out = x.data * cdf
-    pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
 
     def backward_fn(g):
+        pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
         return (g * (cdf + x.data * pdf),)
 
     return _emit(out, (x,), backward_fn)

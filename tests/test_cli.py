@@ -4,12 +4,14 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from stripseg.cli import main
-from stripseg.config import FORWARD_DEFAULTS, GRADCHECK_DEFAULTS, config_echo, resolve_config
+from stripseg.config import FORWARD_DEFAULTS, GRADCHECK_DEFAULTS, RunConfig, config_echo, resolve_config
+from stripseg.decoder import DecoderSpec
 from stripseg.scat import load_scat
 
 TINY_GRADCHECK = {
@@ -95,6 +97,13 @@ class TestForward:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mask_scat_cannot_hold_is_runtime_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"decoder": {"init_std": 1e200}})
+        out = tmp_path / "run"
+        assert main(["forward", "--config", cfg, "--out", str(out)]) == 3
+        assert "mask.scat" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -123,6 +132,19 @@ class TestConfigSchema:
     def test_echo_round_trips(self, doc, defaults):
         cfg = resolve_config(doc, defaults)
         assert resolve_config(config_echo(cfg)) == cfg
+
+    def test_field_names_are_the_document_keys(self):
+        # config_echo is asdict(cfg), so these names are the echoed keys
+        assert [f.name for f in fields(RunConfig)] == list(FORWARD_DEFAULTS)
+        assert [f.name for f in fields(DecoderSpec)] == list(FORWARD_DEFAULTS["decoder"])
+
+    def test_readme_library_example_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Library use\s*```python\n(.*?)```", readme, re.S)
+        assert block is not None
+        namespace: dict = {}
+        exec(block.group(1), namespace)
+        assert namespace["trace"].mask.shape == (1, 19, 16, 16)
 
     def test_readme_defaults_match_forward_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -25,6 +25,11 @@ def small_config(**overrides):
     return resolve_config(doc)
 
 
+def decoder_spec(**settings):
+    """The default decoder settings with some overridden, as a DecoderSpec."""
+    return resolve_config({"decoder": settings}).decoder
+
+
 # ---------------------------------------------------------------------------
 # Independent references
 # ---------------------------------------------------------------------------
@@ -141,12 +146,9 @@ class TestBuildMixedKv:
 class TestLPM:
     def _params(self, c, seed=0, zero=False):
         params = init_decoder_params(
-            channels=(c, c, c, c),
-            heads=(1, 1, 1, 1),
-            dim_head=2,
-            num_classes=2,
-            lpm_reduction=2,
-            seed=seed,
+            (c, c, c, c),
+            decoder_spec(heads=[1, 1, 1, 1], dim_head=2, num_classes=2, lpm_reduction=2),
+            seed,
         ).clb[0].lpm
         if zero:
             params.dw1_kernel[:] = 0.0
@@ -205,8 +207,7 @@ class TestCLB:
 
     def test_self_attention_mixer_ignores_kv(self):
         params = init_decoder_params(
-            channels=(4, 4, 4, 4), heads=(1, 1, 1, 1), dim_head=2,
-            num_classes=2, mixer_kind="sa", seed=11,
+            (4, 4, 4, 4), decoder_spec(heads=[1, 1, 1, 1], dim_head=2, num_classes=2, mixer="sa"), 11,
         )
         bound, _ = bind_params(params.clb[0], None)
         f = rand_normal((1, 8, 4), seed=12)
@@ -218,8 +219,7 @@ class TestCLB:
 
     def test_matches_composed_oracle(self):
         params = init_decoder_params(
-            channels=(4, 4, 4, 4), heads=(2, 1, 1, 1), dim_head=3,
-            num_classes=2, seed=15,
+            (4, 4, 4, 4), decoder_spec(heads=[2, 1, 1, 1], dim_head=3, num_classes=2), 15,
         )
         block = params.clb[0]
         bound, _ = bind_params(block, None)
@@ -230,8 +230,7 @@ class TestCLB:
 
     def test_lpm_disabled_skips_middle_block(self):
         params = init_decoder_params(
-            channels=(4, 4, 4, 4), heads=(1, 1, 1, 1), dim_head=2,
-            num_classes=2, lpm_enabled=False, seed=18,
+            (4, 4, 4, 4), decoder_spec(heads=[1, 1, 1, 1], dim_head=2, num_classes=2, lpm_enabled=False), 18,
         )
         block = params.clb[0]
         block.lpm.dw3_kernel[:] = 999.0  # must have no effect
@@ -314,11 +313,11 @@ class TestDecode:
                 for s in range(1, 5)
             ]
         )
-        expect_w = np.tile(channel_sums, (params.num_classes, 1))
+        expect_w = np.tile(channel_sums, (params.spec.num_classes, 1))
         got_w = grads[trace.param_leaves["fuse_mlp.weight"].tid].data
         np.testing.assert_allclose(got_w, expect_w, rtol=1e-9, atol=1e-9)
         got_b = grads[trace.param_leaves["fuse_mlp.bias"].tid].data
-        np.testing.assert_allclose(got_b, np.full(params.num_classes, 256.0), atol=1e-9)
+        np.testing.assert_allclose(got_b, np.full(params.spec.num_classes, 256.0), atol=1e-9)
 
     def test_sampled_leaf_gradients(self):
         # fast spot-check; the acceptance suite differences every leaf

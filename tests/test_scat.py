@@ -52,6 +52,15 @@ class TestFormat:
         with pytest.raises(ValueError):
             load_scat(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39], ids=["nan", "inf", "beyond-float32"])
+    def test_value_float32_cannot_hold_is_refused(self, tmp_path, bad):
+        arr = np.zeros((2, 3))
+        arr[1, 2] = bad
+        path = tmp_path / "bad.scat"
+        with pytest.raises(ValueError, match=r"1 value\(s\) .* index \(1, 2\)"):
+            save_scat(path, arr)
+        assert not path.exists()
+
     def test_writes_are_deterministic(self, tmp_path):
         arr = rand_normal((3, 3), seed=1)
         assert scat_bytes(arr) == scat_bytes(arr.copy())
