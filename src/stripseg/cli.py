@@ -28,7 +28,7 @@ from .config import (
 )
 from .decoder import decode
 from .gradcheck import decoder_gradcheck
-from .scat import scat_bytes
+from .scat import save_scat, scat_array
 from .tensor import ShapeError, set_backward_tamper
 
 GRADCHECK_THRESHOLD = 1e-3
@@ -60,17 +60,16 @@ def cmd_forward(args) -> int:
             outputs[f"M{stage}"] = trace.mixed[stage - 1]
             outputs[f"D{stage}"] = trace.decoded[stage - 1]
             outputs[f"attn{stage}"] = trace.attn[stage - 1]
-    # Encode every file before writing any, so a value SCAT refuses leaves no partial run behind.
-    files = {}
+    # Check every output before writing any, so a value SCAT refuses leaves no partial run behind.
     for name, value in outputs.items():
         try:
-            files[f"{name}.scat"] = scat_bytes(value)
+            scat_array(value)
         except ValueError as exc:
             raise ValueError(f"{name}.scat: {exc}") from exc
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for filename, raw in files.items():
-        (out_dir / filename).write_bytes(raw)
+    for name, value in outputs.items():
+        save_scat(out_dir / f"{name}.scat", value)
     _write_run_json(cfg, out_dir)
     print(f"mask {list(trace.mask.shape)} -> {out_dir / 'mask.scat'}")
     return 0

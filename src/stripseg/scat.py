@@ -21,7 +21,8 @@ MAGIC = b"SCAT"
 VERSION = 1
 
 
-def scat_bytes(value: Union[Tensor, np.ndarray]) -> bytes:
+def scat_array(value: Union[Tensor, np.ndarray]) -> np.ndarray:
+    """The float32 array a SCAT file of value holds; ValueError if SCAT cannot hold it."""
     arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
     if arr.ndim > 255:
         raise ValueError("SCAT v1 supports at most 255 dimensions")
@@ -36,9 +37,14 @@ def scat_bytes(value: Union[Tensor, np.ndarray]) -> bytes:
             f"SCAT cannot hold {finite.size - np.count_nonzero(finite)} value(s) that are "
             f"non-finite or beyond the float32 range; the first is at index {first}"
         )
+    return narrowed
+
+
+def scat_bytes(value: Union[Tensor, np.ndarray]) -> bytes:
+    arr = scat_array(value)
     header = MAGIC + struct.pack("<BB", VERSION, arr.ndim)
     extents = struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return header + extents + narrowed.tobytes()
+    return header + extents + arr.tobytes()
 
 
 def save_scat(path: Union[str, Path], value: Union[Tensor, np.ndarray]) -> None:
