@@ -9,15 +9,13 @@ normalization epsilon stay visible in artifacts.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 
 from .analysis import AttnConfig
-from .attention import MIXER_KINDS
 from .decoder import DecoderParams, DecoderSpec, init_decoder_params
-from .synth import FeaturePyramid, PyramidSpec, generate_pyramid
+from .synth import FeaturePyramid, PyramidSpec, _as_int, _require, generate_pyramid
 
 
 class ConfigError(ValueError):
@@ -72,42 +70,19 @@ FORWARD_DEFAULTS: dict[str, Any] = {
 }
 
 
-def _require(cond: bool, field_name: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(f"{field_name}: {message}")
-
-
 def _check_keys(section: dict, allowed: dict, path: str) -> None:
     for key in section:
         if key not in allowed:
             where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key '{where}'")
+            raise ValueError(f"unknown config key '{where}'")
 
 
-def _as_int(value: Any, field_name: str, minimum: int = 0) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), field_name, "must be an integer")
-    _require(value >= minimum, field_name, f"must be >= {minimum}")
-    return value
-
-
-def _as_bool(value: Any, field_name: str) -> bool:
-    _require(isinstance(value, bool), field_name, "must be a boolean")
-    return value
-
-
-def _as_number(value: Any, field_name: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), field_name, "must be a number")
+def _section(name: str, kind: type, values: dict):
+    """kind(**values); a field it rejects is named by its document path."""
     try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    _require(math.isfinite(number), field_name, "must be finite")
-    return number
-
-
-def _four(value: Any, field_name: str) -> list:
-    _require(isinstance(value, list) and len(value) == 4, field_name, "must list exactly four stages")
-    return value
+        return kind(**values)
+    except ValueError as exc:
+        raise ValueError(f"{name}.{exc}") from None
 
 
 def _overlay(doc: Any, defaults: dict) -> dict:
@@ -139,63 +114,31 @@ _SWEEP_ENTRY_DEFAULTS = AttnConfig(n_q=16, n_kv=16, c_q=32, c_kv=32, heads=1, di
 
 
 def resolve_config(doc: dict, defaults: Optional[dict] = None) -> RunConfig:
-    """Merge a config document over defaults and validate every field."""
-    base = _overlay(doc, defaults if defaults is not None else FORWARD_DEFAULTS)
+    """Merge a config document over defaults and validate every field.
 
+    Any ValueError is raised as a ConfigError that names the field by its
+    document path.
+    """
+    try:
+        return _resolve(_overlay(doc, defaults if defaults is not None else FORWARD_DEFAULTS))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _resolve(base: dict) -> RunConfig:
+    """The RunConfig of a merged document. PyramidSpec and DecoderSpec check
+    their own sections; the rest of the rules are here."""
     seed = _as_int(base["seed"], "seed")
-    pyr = base["pyramid"]
-    height = _as_int(pyr["height"], "pyramid.height", 32)
-    width = _as_int(pyr["width"], "pyramid.width", 32)
-    _require(height % 32 == 0, "pyramid.height", f"{height} is not divisible by 32")
-    _require(width % 32 == 0, "pyramid.width", f"{width} is not divisible by 32")
-    channels = tuple(
-        _as_int(c, f"pyramid.channels[{i}]", 1) for i, c in enumerate(_four(pyr["channels"], "pyramid.channels"))
-    )
-    batch = _as_int(pyr["batch"], "pyramid.batch", 1)
-    pyramid_seed = seed if pyr["seed"] is None else _as_int(pyr["seed"], "pyramid.seed")
-
-    dec = base["decoder"]
-    mixer = dec["mixer"]
-    _require(mixer in MIXER_KINDS, "decoder.mixer", f"must be one of {list(MIXER_KINDS)}")
-    num_classes = _as_int(dec["num_classes"], "decoder.num_classes", 1)
-    heads = tuple(
-        _as_int(h, f"decoder.heads[{i}]", 1) for i, h in enumerate(_four(dec["heads"], "decoder.heads"))
-    )
-    dim_head = _as_int(dec["dim_head"], "decoder.dim_head", 1)
-    mlp_expansion = _as_int(dec["mlp_expansion"], "decoder.mlp_expansion", 1)
-    lpm_enabled = _as_bool(dec["lpm_enabled"], "decoder.lpm_enabled")
-    lpm_reduction = _as_int(dec["lpm_reduction"], "decoder.lpm_reduction", 1)
-    for i, c in enumerate(channels):
+    if base["pyramid"]["seed"] is None:
+        base["pyramid"]["seed"] = seed
+    pyramid = _section("pyramid", PyramidSpec, base["pyramid"])
+    decoder = _section("decoder", DecoderSpec, base["decoder"])
+    for i, c in enumerate(pyramid.channels):
         _require(
-            c % lpm_reduction == 0,
+            c % decoder.lpm_reduction == 0,
             f"pyramid.channels[{i}]",
-            f"{c} is not divisible by decoder.lpm_reduction {lpm_reduction}",
+            f"{c} is not divisible by decoder.lpm_reduction {decoder.lpm_reduction}",
         )
-    cross = tuple(
-        _as_bool(b, f"decoder.cross_layer_enabled[{i}]")
-        for i, b in enumerate(_four(dec["cross_layer_enabled"], "decoder.cross_layer_enabled"))
-    )
-    eps = _as_number(dec["layernorm_eps"], "decoder.layernorm_eps")
-    _require(eps > 0, "decoder.layernorm_eps", "must be positive")
-    attn_scale = dec["attn_scale"]
-    if attn_scale is not None:
-        attn_scale = _as_number(attn_scale, "decoder.attn_scale")
-        _require(attn_scale > 0, "decoder.attn_scale", "must be positive")
-    init_std = _as_number(dec["init_std"], "decoder.init_std")
-    _require(init_std >= 0, "decoder.init_std", "must be >= 0")
-    decoder = DecoderSpec(
-        mixer=mixer,
-        num_classes=num_classes,
-        heads=heads,
-        dim_head=dim_head,
-        mlp_expansion=mlp_expansion,
-        lpm_enabled=lpm_enabled,
-        lpm_reduction=lpm_reduction,
-        cross_layer_enabled=cross,
-        layernorm_eps=eps,
-        attn_scale=attn_scale,
-        init_std=init_std,
-    )
 
     bench_doc = base["bench"]
     bench = BenchSettings(
@@ -223,7 +166,7 @@ def resolve_config(doc: dict, defaults: Optional[dict] = None) -> RunConfig:
     _require(isinstance(output_dir, str) and output_dir, "output_dir", "must be a non-empty string")
 
     return RunConfig(
-        pyramid=PyramidSpec(height=height, width=width, channels=channels, batch=batch, seed=pyramid_seed),
+        pyramid=pyramid,
         decoder=decoder,
         bench=bench,
         seed=seed,
@@ -234,10 +177,10 @@ def resolve_config(doc: dict, defaults: Optional[dict] = None) -> RunConfig:
 
 def load_config(path: Union[str, Path], defaults: Optional[dict] = None) -> RunConfig:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
     return resolve_config(doc, defaults)
 
@@ -252,7 +195,4 @@ def build_pyramid(cfg: RunConfig) -> FeaturePyramid:
 
 
 def build_decoder_params(cfg: RunConfig, zero_residual: bool = False) -> DecoderParams:
-    try:
-        return init_decoder_params(cfg.pyramid.channels, cfg.decoder, cfg.seed, zero_residual)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return init_decoder_params(cfg.pyramid.channels, cfg.decoder, cfg.seed, zero_residual)

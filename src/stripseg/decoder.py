@@ -27,7 +27,7 @@ from .attention import (
     self_attention,
     strip_cross_attention,
 )
-from .synth import FeaturePyramid, normal_array, substream
+from .synth import FeaturePyramid, _as_bool, _as_int, _as_number, _four, _require, normal_array, substream
 from .tensor import (
     LinearParams,
     ShapeError,
@@ -59,7 +59,9 @@ class DecoderSpec:
     the same order; they have no defaults, so the document's defaults are
     written in one place only. mixer is one of MIXER_KINDS; heads and
     cross_layer_enabled list stages 1..4; attn_scale None means
-    1/sqrt(qk width).
+    1/sqrt(qk width). Construction checks every field and raises
+    ValueError("<field>: <message>"); it stores the stage lists as tuples
+    and the numbers as floats.
     """
 
     mixer: str
@@ -73,6 +75,26 @@ class DecoderSpec:
     layernorm_eps: float
     attn_scale: Optional[float]
     init_std: float
+
+    def __post_init__(self) -> None:
+        _require(self.mixer in MIXER_KINDS, "mixer", f"must be one of {list(MIXER_KINDS)}")
+        _as_int(self.num_classes, "num_classes", 1)
+        heads = _four(self.heads, "heads", _as_int, 1)
+        for name in ("dim_head", "mlp_expansion"):
+            _as_int(getattr(self, name), name, 1)
+        _as_bool(self.lpm_enabled, "lpm_enabled")
+        _as_int(self.lpm_reduction, "lpm_reduction", 1)
+        cross = _four(self.cross_layer_enabled, "cross_layer_enabled", _as_bool)
+        eps = _as_number(self.layernorm_eps, "layernorm_eps")
+        _require(eps > 0, "layernorm_eps", "must be positive")
+        scale = None if self.attn_scale is None else _as_number(self.attn_scale, "attn_scale")
+        _require(scale is None or scale > 0, "attn_scale", "must be positive")
+        init_std = _as_number(self.init_std, "init_std")
+        _require(init_std >= 0, "init_std", "must be >= 0")
+        for name, value in dict(
+            heads=heads, cross_layer_enabled=cross, layernorm_eps=eps, attn_scale=scale, init_std=init_std
+        ).items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -316,8 +338,8 @@ def init_decoder_params(
     LPM entry layernorm gain is zeroed too, because the module keeps an
     internal shortcut from its (normalized) input.
     """
-    if len(channels) != 4 or len(spec.heads) != 4 or len(spec.cross_layer_enabled) != 4:
-        raise ValueError("channels, heads and cross_layer_enabled must list four stages")
+    if len(channels) != 4:
+        raise ValueError(f"channels must list four stages, got {len(channels)}")
     init_std = spec.init_std
     total_c = int(sum(channels))
     blocks = []

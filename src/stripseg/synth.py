@@ -8,11 +8,46 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+# Field checks for the spec types here and in decoder, and for config: each
+# raises ValueError("<field>: <message>") and returns the value to store.
+def _require(cond: bool, field_name: str, message: str) -> None:
+    if not cond:
+        raise ValueError(f"{field_name}: {message}")
+
+
+def _as_int(value: Any, field_name: str, minimum: int = 0) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool), field_name, "must be an integer")
+    _require(value >= minimum, field_name, f"must be >= {minimum}")
+    return value
+
+
+def _as_bool(value: Any, field_name: str) -> bool:
+    _require(isinstance(value, bool), field_name, "must be a boolean")
+    return value
+
+
+def _as_number(value: Any, field_name: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool), field_name, "must be a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    _require(math.isfinite(number), field_name, "must be finite")
+    return number
+
+
+def _four(value: Any, field_name: str, check: Callable[..., Any], *args: Any) -> tuple:
+    """One entry per stage, each passed through check(entry, "<field>[i]", *args)."""
+    _require(isinstance(value, (list, tuple)) and len(value) == 4, field_name, "must list exactly four stages")
+    return tuple(check(v, f"{field_name}[{i}]", *args) for i, v in enumerate(value))
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:
@@ -68,7 +103,8 @@ class PyramidSpec:
     """Input geometry for the four-stage feature pyramid.
 
     height and width are the source-image extents and must divide by 32;
-    channels lists the per-stage widths C1..C4.
+    channels lists the per-stage widths C1..C4. Construction checks every
+    field and raises ValueError("<field>: <message>").
     """
 
     height: int
@@ -77,15 +113,13 @@ class PyramidSpec:
     batch: int = 1
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.height % 32 or self.width % 32:
-            raise ValueError(
-                f"pyramid extents {self.height}x{self.width} must be divisible by 32"
-            )
-        if len(self.channels) != 4 or any(c < 1 for c in self.channels):
-            raise ValueError(f"channels must be four positive extents, got {self.channels}")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+    def __post_init__(self) -> None:
+        for name in ("height", "width"):
+            extent = _as_int(getattr(self, name), name, 32)
+            _require(extent % 32 == 0, name, f"{extent} is not divisible by 32")
+        object.__setattr__(self, "channels", _four(self.channels, "channels", _as_int, 1))
+        _as_int(self.batch, "batch", 1)
+        _as_int(self.seed, "seed")
 
     def stage_grid(self, stage: int) -> tuple[int, int]:
         """Spatial extents of stage 1..4 (strides 4, 8, 16, 32)."""
@@ -110,7 +144,6 @@ class FeaturePyramid:
 
 def generate_pyramid(spec: PyramidSpec) -> FeaturePyramid:
     """Fill each stage with iid standard normals from a per-stage substream."""
-    spec.validate()
     feats = []
     for stage in range(1, 5):
         stream = substream(spec.seed, stage)

@@ -80,6 +80,12 @@ class TestForward:
         path.write_text("{not json")
         assert main(["forward", "--config", str(path)]) == 2
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["forward", "--config", str(path)]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "decoder,field",
         [

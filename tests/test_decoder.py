@@ -1,5 +1,6 @@
 """Decoder contracts: mixed key/value construction, LPM, block, full decode."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -349,3 +350,47 @@ class TestDecode:
             got = grads.get(trace.param_leaves[name].tid)
             analytic = got.data if got is not None else np.zeros_like(arr)
             assert max_rel_error(analytic, fd_gradient(loss_fn, arr)) < 1e-3, name
+
+
+# ---------------------------------------------------------------------------
+# Spec validation on the library path
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "section,changes,field",
+    [
+        ("decoder", {"dim_head": 0}, "dim_head"),
+        ("decoder", {"heads": (0, 1, 1, 1)}, "heads[0]"),
+        ("decoder", {"heads": (1, 2, 4)}, "heads"),
+        ("decoder", {"mlp_expansion": 0}, "mlp_expansion"),
+        ("decoder", {"num_classes": 0}, "num_classes"),
+        ("decoder", {"attn_scale": float("nan")}, "attn_scale"),
+        ("decoder", {"init_std": -1}, "init_std"),
+        ("decoder", {"layernorm_eps": -1}, "layernorm_eps"),
+        ("decoder", {"mixer": "xx"}, "mixer"),
+        ("pyramid", {"height": 0}, "height"),
+        ("pyramid", {"height": 0, "width": 0}, "height"),
+        ("pyramid", {"batch": 0}, "batch"),
+    ],
+    ids=[
+        "dim_head-0",
+        "heads-0",
+        "heads-three",
+        "mlp_expansion-0",
+        "num_classes-0",
+        "attn_scale-nan",
+        "init_std-negative",
+        "layernorm_eps-negative",
+        "mixer-unknown",
+        "height-0",
+        "height-width-0",
+        "batch-0",
+    ],
+)
+def test_spec_rejects_invalid_setting_at_construction(section, changes, field):
+    # Built without resolve_config, so the spec type itself must refuse.
+    spec = getattr(resolve_config({}), section)
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(spec, **changes)
+    assert str(err.value).startswith(f"{field}: ")
