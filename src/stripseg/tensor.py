@@ -300,8 +300,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     try:
-        # inner extent 1 (strip logits): np.multiply skips matmul's slow path; a zero keeps its sign
-        out = np.multiply(a.data, b.data) if a.shape[-1] == 1 else np.matmul(a.data, b.data)
+        out = np.matmul(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"matmul batch extents incompatible: {a.shape} x {b.shape}") from exc
     m, k = a.shape[-2], a.shape[-1]
@@ -350,12 +349,9 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     """Softmax over the last axis, stabilized by max subtraction."""
     if x.data.ndim == 0 or x.shape[-1] < 1:
         raise ShapeError(f"softmax needs a last extent >= 1, got {x.shape}")
-    rows, out = x.data.reshape(-1, x.shape[-1]), np.empty(x.shape)
-    step = max(1, (1 << 16) // x.shape[-1])  # ~512 KiB row blocks stay in cache through all passes
-    for i in range(0, len(rows), step):
-        r, blk = rows[i : i + step], out.reshape(rows.shape)[i : i + step]
-        np.exp(np.subtract(r, r.max(axis=-1, keepdims=True), out=blk), out=blk)
-        blk /= blk.sum(axis=-1, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
         lead = g * 1.05 if _TAMPER_BACKWARD else g
@@ -561,7 +557,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scalar_mul(x: Tensor, c: float) -> Tensor:
-    out = x.data if c == 1.0 else x.data * c  # x * 1.0 is x, bit for bit
+    out = x.data * c
     _tally(out.size, out.size)
 
     def backward_fn(g):
