@@ -15,7 +15,7 @@ from typing import Any, Optional, Union
 
 from .analysis import AttnConfig
 from .decoder import DecoderParams, DecoderSpec, init_decoder_params
-from .synth import FeaturePyramid, PyramidSpec, _as_int, _require, generate_pyramid
+from .synth import FeaturePyramid, PyramidSpec, _addressable, _as_int, _require, generate_pyramid
 
 
 class ConfigError(ValueError):
@@ -139,6 +139,9 @@ def _resolve(base: dict) -> RunConfig:
             f"pyramid.channels[{i}]",
             f"{c} is not divisible by decoder.lpm_reduction {decoder.lpm_reduction}",
         )
+    mask_shape = (pyramid.batch, decoder.num_classes, *pyramid.stage_grid(1))
+    _addressable(mask_shape, "decoder.num_classes", "mask")
+    _addressable((decoder.num_classes, sum(pyramid.channels)), "decoder.num_classes", "fuse weight")
 
     bench_doc = base["bench"]
     bench = BenchSettings(

@@ -9,6 +9,7 @@ float32 range) are refused, so a written file always holds finite values.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import Union
@@ -63,7 +64,7 @@ def load_scat(path: Union[str, Path]) -> np.ndarray:
     if len(raw) < offset:
         raise ValueError(f"{path}: truncated SCAT header")
     shape = struct.unpack(f"<{ndim}I", raw[6:offset])
-    count = int(np.prod(shape)) if ndim else 1
+    count = math.prod(shape)
     payload = raw[offset:]
     if len(payload) != 4 * count:
         raise ValueError(f"{path}: payload holds {len(payload) // 4} values, expected {count}")

@@ -14,6 +14,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# The most fp64 values one numpy array can hold: its byte size must fit in intp.
+_MAX_ELEMENTS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 # Field checks for the spec types here and in decoder, and for config: each
@@ -42,6 +44,11 @@ def _as_number(value: Any, field_name: str) -> float:
         number = math.inf
     _require(math.isfinite(number), field_name, "must be finite")
     return number
+
+
+def _addressable(shape: tuple[int, ...], field_name: str, what: str) -> None:
+    count = math.prod(shape)
+    _require(count <= _MAX_ELEMENTS, field_name, f"{what} {shape} holds {count} values, more than numpy can")
 
 
 def _four(value: Any, field_name: str, check: Callable[..., Any], *args: Any) -> tuple:
@@ -85,7 +92,7 @@ def standard_normal(stream: RandomStream) -> float:
 
 
 def normal_array(stream: RandomStream, shape: tuple[int, ...]) -> np.ndarray:
-    n = int(np.prod(shape)) if shape else 1
+    n = math.prod(shape)
     vals = np.empty(n)
     for i in range(n):
         vals[i] = standard_normal(stream)
@@ -120,6 +127,11 @@ class PyramidSpec:
         object.__setattr__(self, "channels", _four(self.channels, "channels", _as_int, 1))
         _as_int(self.batch, "batch", 1)
         _as_int(self.seed, "seed")
+        for stage in range(1, 5):
+            shape = self.stage_shape(stage)
+            # name the setting with the largest extent in this stage's shape
+            names = ("batch", f"channels[{stage - 1}]", "height", "width")
+            _addressable(shape, names[shape.index(max(shape))], f"stage {stage} array")
 
     def stage_grid(self, stage: int) -> tuple[int, int]:
         """Spatial extents of stage 1..4 (strides 4, 8, 16, 32)."""

@@ -10,25 +10,18 @@ import numpy as np
 from conftest import op_gradcheck, rand_uniform
 
 from stripseg.analysis import AttnConfig, bench_mixer, closed_form_flops, count_flops, decode_macs
-from stripseg.attention import (
-    init_mixer_params,
-    oracle_attention,
-    cross_attention,
-    self_attention,
-    strip_cross_attention,
-)
 from stripseg.config import build_decoder_params, build_pyramid, resolve_config, GRADCHECK_DEFAULTS
 from stripseg.decoder import decode
 from stripseg.gradcheck import decoder_gradcheck
 from stripseg.scat import scat_bytes
-from stripseg.synth import PyramidSpec, generate_pyramid, normal_array, substream
+from stripseg.selftest import ORACLE_CASES, invariant_errors, oracle_errors, zero_residual_identity
+from stripseg.synth import PyramidSpec, generate_pyramid
 from stripseg.tensor import (
     LinearParams,
     Tensor,
     adaptive_avg_pool,
     add,
     bilinear_resize,
-    bind_params,
     concat_lastdim,
     depthwise_conv,
     gelu,
@@ -79,25 +72,11 @@ def test_criterion_1_complexity_formula_equality():
 @criterion(2, "fast mixers match scalar-loop oracles within 1e-10 on 21 configs")
 def test_criterion_2_oracle_equivalence():
     start = time.perf_counter()
-    cases = 0
-    seed = 7000
-    for heads in (1, 2, 4):
-        for n_q, n_kv in ((1, 1), (2, 5), (7, 3), (16, 16), (9, 12), (3, 1), (1, 8)):
-            stream = substream(seed, 29)
-            xq = normal_array(stream, (1, n_q, 5))
-            xkv = normal_array(stream, (1, n_kv, 7))
-            sp = init_mixer_params("sca", 5, 7, heads, 3, stream)
-            vp = init_mixer_params("ca", 5, 7, heads, 3, stream)
-            ap = init_mixer_params("ca", 5, 5, heads, 3, stream)
-            got = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(sp, None)[0])
-            assert np.abs(got.out.data - oracle_attention(xq, xkv, sp)).max() < 1e-10
-            got = cross_attention(Tensor(xq), Tensor(xkv), bind_params(vp, None)[0])
-            assert np.abs(got.out.data - oracle_attention(xq, xkv, vp)).max() < 1e-10
-            got = self_attention(Tensor(xq), bind_params(ap, None)[0])
-            assert np.abs(got.out.data - oracle_attention(xq, xq, ap)).max() < 1e-10
-            cases += 1
-            seed += 1
-    assert cases == 21
+    assert len(ORACLE_CASES) == 21
+    for case in ORACLE_CASES:
+        errors = oracle_errors(*case)
+        assert sorted(errors) == ["ca", "sa", "sca"]
+        assert max(errors.values()) < 1e-10, f"case {case}: {errors}"
     assert time.perf_counter() - start < 30.0
 
 
@@ -144,38 +123,12 @@ def test_criterion_3_gradient_verification():
 
 @criterion(4, "structural identities: zero-init identity, stochastic rows, permutation/shift invariance")
 def test_criterion_4_structural_identities():
-    cfg = resolve_config(
-        {
-            "pyramid": {"height": 64, "width": 64, "channels": [4, 8, 8, 16]},
-            "decoder": {"heads": [1, 1, 2, 2], "dim_head": 4, "num_classes": 3},
-        }
-    )
-    pyramid = build_pyramid(cfg)
-    trace = decode(pyramid, build_decoder_params(cfg, zero_residual=True))
-    for stage in range(1, 5):
-        assert np.array_equal(trace.decoded[stage - 1].data, pyramid.stage(stage))
-
-    stream = substream(4000, 31)
-    xq = normal_array(stream, (1, 6, 5))
-    xkv = normal_array(stream, (1, 9, 7))
-    sp = init_mixer_params("sca", 5, 7, 2, 3, stream)
-    res = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(sp, None)[0])
-    assert np.abs(res.attn.data.sum(axis=-1) - 1.0).max() < 1e-10
-
-    perm = [8, 2, 5, 0, 7, 1, 4, 6, 3]
-    permuted = strip_cross_attention(Tensor(xq), Tensor(xkv[:, perm, :]), bind_params(sp, None)[0])
-    assert np.abs(permuted.out.data - res.out.data).max() < 1e-10
+    assert zero_residual_identity()
+    errors = invariant_errors()
+    assert max(errors.values()) < 1e-10, errors
 
     x = rand_uniform((4, 9), 4001)
     assert np.abs(softmax_lastdim(Tensor(x + 11.0)).data - softmax_lastdim(Tensor(x)).data).max() < 1e-10
-
-    stream2 = substream(4000, 31)
-    normal_array(stream2, (1, 6, 5))
-    normal_array(stream2, (1, 9, 7))
-    shifted = init_mixer_params("sca", 5, 7, 2, 3, stream2)
-    shifted.wk.bias += 4.2
-    res_shift = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(shifted, None)[0])
-    assert np.abs(res_shift.attn.data - res.attn.data).max() < 1e-10
 
 
 @criterion(5, "mask shape [1,19,16,16] and byte-identical repeated runs")

@@ -100,21 +100,26 @@ def _equivalence_cases():
     seed = 100
     for heads in (1, 2, 4):
         for n_q, n_kv in ((1, 1), (2, 5), (7, 3), (16, 16), (9, 12), (3, 1), (1, 8)):
-            cases.append((seed, n_q, n_kv, heads))
+            cases.append(pytest.param(seed, n_q, n_kv, heads, 5, 7, 3, id=f"{seed}-{n_q}-{n_kv}-{heads}"))
             seed += 1
+    # other widths: dim_head 2 to 5 at C_q 6, C_kv 9
+    for n_q, n_kv, heads, dim_head in ((3, 5, 1, 4), (1, 6, 2, 3), (7, 7, 4, 2), (4, 2, 2, 5)):
+        case_id = f"{seed}-{n_q}-{n_kv}-{heads}-d{dim_head}"
+        cases.append(pytest.param(seed, n_q, n_kv, heads, 6, 9, dim_head, id=case_id))
+        seed += 1
     return cases
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("seed,n_q,n_kv,heads", _equivalence_cases())
-    def test_strip_matches_oracle(self, seed, n_q, n_kv, heads):
-        xq, xkv, p = make_case(seed, n_q, n_kv, 5, 7, heads, 3)
+    @pytest.mark.parametrize("seed,n_q,n_kv,heads,c_q,c_kv,dim_head", _equivalence_cases())
+    def test_strip_matches_oracle(self, seed, n_q, n_kv, heads, c_q, c_kv, dim_head):
+        xq, xkv, p = make_case(seed, n_q, n_kv, c_q, c_kv, heads, dim_head)
         res = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(p, None)[0])
         assert np.abs(res.out.data - oracle_attention(xq, xkv, p)).max() < ORACLE_TOL
 
-    @pytest.mark.parametrize("seed,n_q,n_kv,heads", _equivalence_cases())
-    def test_vanilla_matches_oracle(self, seed, n_q, n_kv, heads):
-        xq, xkv, p = make_case(seed + 500, n_q, n_kv, 5, 7, heads, 3, kind="vanilla")
+    @pytest.mark.parametrize("seed,n_q,n_kv,heads,c_q,c_kv,dim_head", _equivalence_cases())
+    def test_vanilla_matches_oracle(self, seed, n_q, n_kv, heads, c_q, c_kv, dim_head):
+        xq, xkv, p = make_case(seed + 500, n_q, n_kv, c_q, c_kv, heads, dim_head, kind="vanilla")
         res = cross_attention(Tensor(xq), Tensor(xkv), bind_params(p, None)[0])
         assert np.abs(res.out.data - oracle_attention(xq, xkv, p)).max() < ORACLE_TOL
 

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import itertools
 import json
 import re
 import subprocess
@@ -9,10 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from stripseg import selftest
+from stripseg.attention import AttnOutput
 from stripseg.cli import main
 from stripseg.config import FORWARD_DEFAULTS, GRADCHECK_DEFAULTS, RunConfig, config_echo, resolve_config
 from stripseg.decoder import DecoderSpec
 from stripseg.scat import load_scat
+from stripseg.tensor import Tensor
 
 TINY_GRADCHECK = {
     "pyramid": {"height": 32, "width": 32, "channels": [4, 4, 4, 4]},
@@ -108,6 +112,24 @@ class TestForward:
         out = tmp_path / "run"
         assert main(["forward", "--config", cfg, "--out", str(out)]) == 3
         assert "mask.scat" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc,code,message",
+        [
+            ({"pyramid": {"height": 2**64}}, 2, "config error: pyramid.height: "),
+            ({"pyramid": {"height": 2**40}}, 3, "error: out of memory: "),
+            ({"decoder": {"num_classes": 2**64}}, 2, "config error: decoder.num_classes: "),
+            ({"decoder": {"num_classes": 2**40}}, 3, "error: out of memory: "),
+        ],
+        ids=["height-2**64", "height-2**40", "num_classes-2**64", "num_classes-2**40"],
+    )
+    def test_oversized_arrays_exit_with_one_line(self, tmp_path, capsys, doc, code, message):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["forward", "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
         assert not out.exists()
 
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
@@ -238,6 +260,24 @@ class TestSelftest:
     def test_tamper_flips_exit_code(self, capsys):
         assert main(["selftest", "--tamper"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_drifting_kernel_fails_the_shared_checks(self, monkeypatch):
+        # each call moves the kernel's output a further 1e-9: it leaves the
+        # oracle, and the invariants, which compare two calls, break too
+        kernel = selftest.cross_attention
+        calls = itertools.count(1)
+
+        def drifting(xq, xkv, p):
+            res = kernel(xq, xkv, p)
+            step = 1e-9 * next(calls)
+            return AttnOutput(out=Tensor(res.out.data + step), attn=Tensor(res.attn.data + step))
+
+        monkeypatch.setattr(selftest, "cross_attention", drifting)
+        for case in selftest.ORACLE_CASES:
+            assert min(selftest.oracle_errors(*case).values()) > selftest.TOL
+        assert min(selftest.invariant_errors().values()) > selftest.TOL
+        results = selftest.run_selftest()
+        assert results == {"oracle-equivalence": False, "invariants": False, "identities": True}
 
 
 class TestModuleEntry:

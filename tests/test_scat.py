@@ -52,6 +52,13 @@ class TestFormat:
         with pytest.raises(ValueError):
             load_scat(path)
 
+    def test_extents_whose_product_wraps_int64_rejected(self, tmp_path):
+        # 65536**4 == 2**64, which a product in int64 counts as 0 values
+        path = tmp_path / "huge.scat"
+        path.write_bytes(b"SCAT" + bytes([1, 4]) + struct.pack("<4I", *[65536] * 4))
+        with pytest.raises(ValueError, match="holds 0 values, expected 18446744073709551616"):
+            load_scat(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39], ids=["nan", "inf", "beyond-float32"])
     def test_value_float32_cannot_hold_is_refused(self, tmp_path, bad):
         arr = np.zeros((2, 3))
