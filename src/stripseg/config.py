@@ -125,6 +125,11 @@ def resolve_config(doc: dict, defaults: Optional[dict] = None) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _weight(shape: tuple[int, ...], factors: dict[str, int], what: str) -> None:
+    """_addressable(shape), naming the setting whose factor is largest."""
+    _addressable(shape, max(factors, key=factors.get), what)
+
+
 def _resolve(base: dict) -> RunConfig:
     """The RunConfig of a merged document. PyramidSpec and DecoderSpec check
     their own sections; the rest of the rules are here."""
@@ -133,15 +138,31 @@ def _resolve(base: dict) -> RunConfig:
         base["pyramid"]["seed"] = seed
     pyramid = _section("pyramid", PyramidSpec, base["pyramid"])
     decoder = _section("decoder", DecoderSpec, base["decoder"])
+    total_c = sum(pyramid.channels)
+    widest = f"pyramid.channels[{pyramid.channels.index(max(pyramid.channels))}]"
     for i, c in enumerate(pyramid.channels):
         _require(
             c % decoder.lpm_reduction == 0,
             f"pyramid.channels[{i}]",
             f"{c} is not divisible by decoder.lpm_reduction {decoder.lpm_reduction}",
         )
+        # The largest weights init_decoder_params draws for a stage are the
+        # value projection and MLP fc1; each is named by its largest factor.
+        cross = decoder.cross_layer_enabled[i] and decoder.mixer != "sa"
+        kv_name, c_kv = (widest, total_c) if cross else (f"pyramid.channels[{i}]", c)
+        _weight(
+            (decoder.heads[i] * decoder.dim_head, c_kv),
+            {f"decoder.heads[{i}]": decoder.heads[i], "decoder.dim_head": decoder.dim_head, kv_name: c_kv},
+            f"stage {i + 1} value projection",
+        )
+        _weight(
+            (decoder.mlp_expansion * c, c),
+            {"decoder.mlp_expansion": decoder.mlp_expansion, f"pyramid.channels[{i}]": c},
+            f"stage {i + 1} MLP weight",
+        )
     mask_shape = (pyramid.batch, decoder.num_classes, *pyramid.stage_grid(1))
     _addressable(mask_shape, "decoder.num_classes", "mask")
-    _addressable((decoder.num_classes, sum(pyramid.channels)), "decoder.num_classes", "fuse weight")
+    _addressable((decoder.num_classes, total_c), "decoder.num_classes", "fuse weight")
 
     bench_doc = base["bench"]
     bench = BenchSettings(

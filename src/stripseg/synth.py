@@ -2,6 +2,9 @@
 
 The generator is a pure function of its spec: splitmix64 streams feed a
 Box-Muller transform, so pyramids are bitwise reproducible across runs.
+splitmix64 is counter-based (output i mixes state + i*golden), so
+normal_array draws whole blocks in numpy uint64 arithmetic; it is a blocked,
+bit-identical form of calling standard_normal once per element.
 """
 
 from __future__ import annotations
@@ -14,8 +17,11 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 # The most fp64 values one numpy array can hold: its byte size must fit in intp.
 _MAX_ELEMENTS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+# Draws per numpy block in normal_array; bounds its temporaries to ~0.4 MiB.
+_NORMAL_BLOCK = 1 << 12
 
 
 # Field checks for the spec types here and in decoder, and for config: each
@@ -61,8 +67,8 @@ def splitmix64_next(state: int) -> tuple[int, int]:
     """One splitmix64 step: returns (output, new_state), all mod 2**64."""
     state = (state + _GOLDEN) & _MASK64
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return (z ^ (z >> 31)), state
 
 
@@ -92,11 +98,34 @@ def standard_normal(stream: RandomStream) -> float:
 
 
 def normal_array(stream: RandomStream, shape: tuple[int, ...]) -> np.ndarray:
+    """Array of iid N(0,1) draws, equal bit for bit to calling standard_normal
+    once per element in C order, and leaving stream.state where those calls
+    would.
+
+    Each block of _NORMAL_BLOCK draws mixes its 2*block splitmix64 states in
+    numpy uint64 arithmetic. log and cos come from libm (math), because numpy's
+    own differ in the last bit; sqrt and the products are correctly rounded
+    either way and keep the scalar operand order.
+    """
     n = math.prod(shape)
-    vals = np.empty(n)
-    for i in range(n):
-        vals[i] = standard_normal(stream)
-    return vals.reshape(shape)
+    out = np.empty(n)
+    steps = np.arange(1, 2 * min(n, _NORMAL_BLOCK) + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    for start in range(0, n, _NORMAL_BLOCK):
+        m = min(_NORMAL_BLOCK, n - start)
+        z = steps[: 2 * m] + np.uint64(stream.state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        u1 = (z[0::2] + np.uint64(1)) / 9007199254740992.0
+        u2 = (2.0 * math.pi) * (z[1::2] / 9007199254740992.0)
+        log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, m)
+        cos_u2 = np.fromiter(map(math.cos, u2.tolist()), np.float64, m)
+        out[start : start + m] = np.sqrt(-2.0 * log_u1) * cos_u2
+        stream.state = (stream.state + 2 * m * _GOLDEN) & _MASK64
+    return out.reshape(shape)
 
 
 def substream(seed: int, salt: int) -> RandomStream:

@@ -1,5 +1,7 @@
 """Shared helpers: deterministic random arrays and the op-level FD checker."""
 
+import math
+
 import numpy as np
 
 from stripseg.gradcheck import fd_gradient, max_rel_error
@@ -10,8 +12,7 @@ from stripseg.tensor import Tape, Tensor, backward, mul, sum_all
 def rand_uniform(shape, seed, lo=-2.0, hi=2.0):
     """Deterministic uniform array in [lo, hi]."""
     stream = substream(seed, 17)
-    n = int(np.prod(shape)) if shape else 1
-    vals = np.array([stream.uniform53() for _ in range(n)])
+    vals = np.array([stream.uniform53() for _ in range(math.prod(shape))])
     return (lo + (hi - lo) * vals).reshape(shape)
 
 

@@ -121,8 +121,19 @@ class TestForward:
             ({"pyramid": {"height": 2**40}}, 3, "error: out of memory: "),
             ({"decoder": {"num_classes": 2**64}}, 2, "config error: decoder.num_classes: "),
             ({"decoder": {"num_classes": 2**40}}, 3, "error: out of memory: "),
+            ({"decoder": {"dim_head": 2**64}}, 2, "config error: decoder.dim_head: stage 1 value projection "),
+            ({"decoder": {"mlp_expansion": 2**64}}, 2, "config error: decoder.mlp_expansion: stage 1 MLP weight "),
+            ({"decoder": {"heads": [1, 1, 1, 2**64]}}, 2, "config error: decoder.heads[3]: stage 4 value projection "),
         ],
-        ids=["height-2**64", "height-2**40", "num_classes-2**64", "num_classes-2**40"],
+        ids=[
+            "height-2**64",
+            "height-2**40",
+            "num_classes-2**64",
+            "num_classes-2**40",
+            "dim_head-2**64",
+            "mlp_expansion-2**64",
+            "heads[3]-2**64",
+        ],
     )
     def test_oversized_arrays_exit_with_one_line(self, tmp_path, capsys, doc, code, message):
         cfg = write_config(tmp_path, doc)

@@ -1,15 +1,21 @@
 """Deterministic PRNG and pyramid-generation contracts."""
 
+import math
+
 import numpy as np
 import pytest
 
 from stripseg.synth import (
+    _NORMAL_BLOCK,
     PyramidSpec,
     RandomStream,
     generate_pyramid,
+    normal_array,
     splitmix64_next,
     standard_normal,
 )
+
+B = _NORMAL_BLOCK
 
 
 class TestSplitmix64:
@@ -65,6 +71,44 @@ class TestStandardNormal:
         assert first == repeat
         a, b = RandomStream(123), RandomStream(123)
         assert [standard_normal(a) for _ in range(10)] == [standard_normal(b) for _ in range(10)]
+
+
+def scalar_normals(stream, n):
+    """The oracle: one standard_normal call per element."""
+    return np.array([standard_normal(stream) for _ in range(n)])
+
+
+class TestNormalArray:
+    @pytest.mark.parametrize(
+        "shape", [(0,), (1,), (2,), (B - 1,), (B,), (B + 1,), (2 * B + 3,), (3, 5, 7, 11), (50_003,)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_equals_scalar_draws_and_stream_state(self, shape):
+        block, scalar = RandomStream(2024), RandomStream(2024)
+        got = normal_array(block, shape)
+        want = scalar_normals(scalar, math.prod(shape)).reshape(shape)
+        assert got.shape == shape
+        assert np.array_equal(got, want)
+        assert block.state == scalar.state
+
+    def test_consecutive_calls_continue_one_sequence(self):
+        block, scalar = RandomStream(99), RandomStream(99)
+        first = normal_array(block, (B + 5,))
+        second = normal_array(block, (7, 3)).reshape(-1)
+        assert np.array_equal(np.concatenate([first, second]), scalar_normals(scalar, B + 5 + 21))
+        assert block.state == scalar.state
+
+    def test_pyramid_values_are_pinned(self):
+        # Fixed values, so a change made to standard_normal and normal_array
+        # together still fails.
+        stage1 = generate_pyramid(PyramidSpec(64, 64, (8, 16, 32, 64))).stage(1).reshape(-1)
+        assert [float(v).hex() for v in stage1[:4]] == [
+            "0x1.3023165b98088p-3",
+            "-0x1.1036e3b90832ep+0",
+            "0x1.0418f70871cd4p+0",
+            "-0x1.5936c70cb95e4p-3",
+        ]
+        assert float(stage1[-1]).hex() == "-0x1.3ba0c2fd5b85dp+0"
 
 
 class TestPyramid:
