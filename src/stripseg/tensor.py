@@ -300,7 +300,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     try:
-        out = np.matmul(a.data, b.data)
+        # With inner extent 1 each output is one rounded product, so the
+        # broadcast outer product has np.matmul's values. Only an exact zero
+        # can differ, in sign (BLAS adds products to +0.0); softmax and the
+        # sums that consume these outputs do not tell the two zeros apart.
+        if a.shape[-1] == 1:
+            out = np.multiply(a.data, b.data)
+        else:
+            out = np.matmul(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"matmul batch extents incompatible: {a.shape} x {b.shape}") from exc
     m, k = a.shape[-2], a.shape[-1]
@@ -345,13 +352,27 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     return _emit(out, inputs, backward_fn)
 
 
+# Values per row block of softmax_lastdim.
+SOFTMAX_BLOCK = 1 << 15
+
+
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Softmax over the last axis, stabilized by max subtraction."""
     if x.data.ndim == 0 or x.shape[-1] < 1:
         raise ShapeError(f"softmax needs a last extent >= 1, got {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    # Rows are independent, so each block of rows runs max, subtract, exp,
+    # sum and divide while it is in cache, writing into one output buffer.
+    # Per row these are the same operations in the same order as unblocked.
+    n = x.shape[-1]
+    out = np.empty(x.shape)
+    rows_in = x.data.reshape(-1, n)
+    rows_out = out.reshape(-1, n)
+    step = max(1, SOFTMAX_BLOCK // n)
+    for r in range(0, rows_in.shape[0], step):
+        src, blk = rows_in[r : r + step], rows_out[r : r + step]
+        np.subtract(src, src.max(axis=-1, keepdims=True), out=blk)
+        np.exp(blk, out=blk)
+        blk /= blk.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
         lead = g * 1.05 if _TAMPER_BACKWARD else g
@@ -557,11 +578,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scalar_mul(x: Tensor, c: float) -> Tensor:
-    out = x.data * c
+    # x * 1.0 == x bit for bit, so a unit scale (the strip logits' default)
+    # shares the read-only buffer instead of copying it
+    out = x.data if c == 1.0 else x.data * c
     _tally(out.size, out.size)
 
     def backward_fn(g):
-        return (g * c,)
+        return (g if c == 1.0 else g * c,)
 
     return _emit(out, (x,), backward_fn)
 

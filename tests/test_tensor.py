@@ -1,5 +1,8 @@
 """Kernel-level contracts: worked examples, gradients, and invariants."""
 
+import importlib
+import math
+
 import numpy as np
 import pytest
 from conftest import op_gradcheck, rand_normal, rand_uniform
@@ -35,6 +38,9 @@ from stripseg.tensor import (
     tensor,
     transpose,
 )
+
+# the package re-exports the tensor() constructor under the module's name
+tensor_module = importlib.import_module("stripseg.tensor")
 
 
 class TestTensorBasics:
@@ -97,6 +103,25 @@ class TestMatmul:
         assert out.shape == (5, 2, 4)
         np.testing.assert_allclose(out.data[2], a[0] @ b[2], atol=1e-12)
 
+    @pytest.mark.parametrize("a_shape,b_shape", [((3, 1), (1, 4)), ((2, 1, 5, 1), (1, 3, 1, 4)), ((1, 1), (1, 1))])
+    def test_inner_extent_one_is_exact_outer_product(self, a_shape, b_shape):
+        # one rounded product per element: equal to the loop and to np.matmul
+        a = rand_uniform(a_shape, seed=70)
+        b = rand_uniform(b_shape, seed=71)
+        out = matmul(Tensor(a), Tensor(b)).data
+        np.testing.assert_array_equal(out, np.matmul(a, b))
+        flat_a = np.broadcast_to(a, out.shape[:-2] + a.shape[-2:]).reshape(-1, a.shape[-2])
+        flat_b = np.broadcast_to(b, out.shape[:-2] + b.shape[-2:]).reshape(-1, b.shape[-1])
+        flat_out = out.reshape(-1, out.shape[-2], out.shape[-1])
+        for batch in range(flat_out.shape[0]):
+            for i in range(flat_out.shape[1]):
+                for j in range(flat_out.shape[2]):
+                    assert flat_out[batch, i, j] == flat_a[batch, i] * flat_b[batch, j]
+
+    def test_inner_extent_one_rejects_incompatible_batches(self):
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros((3, 1, 4))))
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -122,6 +147,32 @@ class TestSoftmax:
         base = softmax_lastdim(Tensor(x)).data
         shifted = softmax_lastdim(Tensor(x + 13.5)).data
         np.testing.assert_allclose(base, shifted, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 3), (2, 11, 4), (3, 9), (1, 1)])
+    @pytest.mark.parametrize("block", [1, 8, 12, 1 << 15])
+    def test_row_blocks_equal_unblocked_chain(self, monkeypatch, shape, block):
+        # blocks of one row, several rows, a partial last block and rows
+        # longer than a block all give the unblocked chain's bits
+        monkeypatch.setattr(tensor_module, "SOFTMAX_BLOCK", block)
+        x = rand_uniform(shape, seed=7) * 30.0
+        shifted = x - x.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        np.testing.assert_array_equal(softmax_lastdim(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
+
+    def test_non_contiguous_input(self, monkeypatch):
+        monkeypatch.setattr(tensor_module, "SOFTMAX_BLOCK", 10)
+        x = rand_uniform((6, 5), seed=8).T
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(softmax_lastdim(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
+
+    def test_blocked_rows_match_scalar_loop(self, monkeypatch):
+        monkeypatch.setattr(tensor_module, "SOFTMAX_BLOCK", 16)
+        x = rand_uniform((9, 7), seed=9) * 20.0
+        out = softmax_lastdim(Tensor(x)).data
+        for r in range(9):
+            hi = max(x[r])
+            exps = [math.exp(v - hi) for v in x[r]]
+            np.testing.assert_allclose(out[r], [v / sum(exps) for v in exps], rtol=1e-14, atol=0)
 
 
 class TestLayernorm:
@@ -375,6 +426,27 @@ class TestGradients:
     @pytest.mark.parametrize("seed,shape", [(5, (3,)), (6, (2, 4)), (7, (2, 3, 5)), (8, (1, 7)), (9, (4, 2))])
     def test_softmax(self, seed, shape):
         assert op_gradcheck(softmax_lastdim, [rand_uniform(shape, seed=seed)], seed=seed) < GRADCHECK_TOL
+
+    def test_softmax_in_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(tensor_module, "SOFTMAX_BLOCK", 8)
+        assert op_gradcheck(softmax_lastdim, [rand_uniform((5, 3, 4), seed=65)], seed=65) < GRADCHECK_TOL
+
+    @pytest.mark.parametrize("a_shape,b_shape", [((4, 1), (1, 3)), ((2, 3, 1), (1, 1, 5))])
+    def test_matmul_inner_extent_one(self, a_shape, b_shape):
+        a = rand_uniform(a_shape, seed=66)
+        b = rand_uniform(b_shape, seed=67)
+        assert op_gradcheck(matmul, [a, b], seed=68) < GRADCHECK_TOL
+
+    def test_unit_scalar_mul(self):
+        x = rand_uniform((3, 4), seed=69)
+        out = scalar_mul(Tensor(x), 1.0)
+        np.testing.assert_array_equal(out.data, x)
+        assert not out.data.flags.writeable
+        assert op_gradcheck(lambda t: scalar_mul(t, 1.0), [x], seed=69) < GRADCHECK_TOL
+        tape = Tape()
+        leaf = tape.leaf(x)
+        grads = backward(tape, sum_all(mul(scalar_mul(leaf, 1.0), leaf)))
+        np.testing.assert_array_equal(grads[leaf.tid].data, 2.0 * x)
 
     @pytest.mark.parametrize("seed,shape", [(10, (2, 4)), (11, (3, 3)), (12, (1, 4, 6)), (13, (5, 2)), (14, (2, 2, 3))])
     def test_layernorm(self, seed, shape):
