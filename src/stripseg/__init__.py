@@ -40,7 +40,6 @@ from .tensor import (
     bind_params,
     count_macs,
     flatten_params,
-    tensor,
 )
 
 __version__ = "0.1.0"

@@ -28,6 +28,10 @@ from .decoder import DecoderParams, decode
 from .synth import FeaturePyramid, normal_array, substream
 from .tensor import Tensor, bind_params, count_macs
 
+# Fewest timed repetitions and warm-up runs a wall-time median is taken over.
+MIN_REPEATS = 9
+MIN_WARMUP = 2
+
 CSV_COLUMNS = [
     "mixer",
     "N_q",
@@ -123,15 +127,15 @@ def count_flops(mixer_kind: str, cfg: AttnConfig, seed: int = 0) -> FlopReport:
 def bench_mixer(
     mixer_kind: str,
     cfg: AttnConfig,
-    repeats: int = 9,
-    warmup: int = 2,
+    repeats: int = MIN_REPEATS,
+    warmup: int = MIN_WARMUP,
     seed: int = 0,
 ) -> BenchResult:
-    """Median wall time of one mixer forward over >= 9 timed repetitions."""
-    if repeats < 9:
-        raise ValueError("benchmark needs at least 9 timed repetitions")
-    if warmup < 2:
-        raise ValueError("benchmark needs at least 2 warm-up runs")
+    """Median wall time of one mixer forward over >= MIN_REPEATS timed repetitions."""
+    if repeats < MIN_REPEATS:
+        raise ValueError(f"benchmark needs at least {MIN_REPEATS} timed repetitions")
+    if warmup < MIN_WARMUP:
+        raise ValueError(f"benchmark needs at least {MIN_WARMUP} warm-up runs")
     xq, xkv, bound = _build_case(mixer_kind, cfg, seed)
     with count_macs() as mc:
         _run_mixer(mixer_kind, xq, xkv, bound)
@@ -163,8 +167,8 @@ def sweep(
     configs: Sequence[AttnConfig],
     mixers: Sequence[str] = MIXER_KINDS,
     time_it: bool = False,
-    repeats: int = 9,
-    warmup: int = 2,
+    repeats: int = MIN_REPEATS,
+    warmup: int = MIN_WARMUP,
     seed: int = 0,
 ) -> list[dict]:
     """One CSV row per (config, mixer), in deterministic input order."""

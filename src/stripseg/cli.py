@@ -29,7 +29,7 @@ from .config import (
 from .decoder import decode
 from .gradcheck import decoder_gradcheck
 from .scat import save_scat, scat_array
-from .tensor import ShapeError, set_backward_tamper
+from .tensor import ShapeError
 
 GRADCHECK_THRESHOLD = 1e-3
 
@@ -82,12 +82,7 @@ def cmd_gradcheck(args) -> int:
             f"pyramid.height/width: gradcheck is limited to 32x32 inputs, "
             f"got {cfg.pyramid.height}x{cfg.pyramid.width}"
         )
-    if args.tamper:
-        set_backward_tamper(True)
-    try:
-        report = decoder_gradcheck(build_pyramid(cfg), build_decoder_params(cfg))
-    finally:
-        set_backward_tamper(False)
+    report = decoder_gradcheck(build_pyramid(cfg), build_decoder_params(cfg))
     width = max(len(name) for name in report)
     worst = 0.0
     for name, err in report.items():
@@ -131,28 +126,15 @@ def cmd_flops(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _load(args, FORWARD_DEFAULTS)
     b = cfg.bench
-    attn_cfg = analysis.AttnConfig(
-        n_q=b.n_tokens,
-        n_kv=b.n_tokens,
-        c_q=b.channels,
-        c_kv=b.channels,
-        heads=b.heads,
-        dim_head=b.channels // b.heads,
-    )
     rows = analysis.sweep(
-        [attn_cfg], time_it=True, repeats=b.repeats, warmup=b.warmup, seed=cfg.seed
+        [b.attn_config()], time_it=True, repeats=b.repeats, warmup=b.warmup, seed=cfg.seed
     )
     _emit_csv(rows, args.out, "bench.csv")
     return 0
 
 
 def cmd_selftest(args) -> int:
-    if args.tamper:
-        set_backward_tamper(True)
-    try:
-        results = selftest.run_selftest()
-    finally:
-        set_backward_tamper(False)
+    results = selftest.run_selftest()
     for name, passed in results.items():
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
     return 0 if all(results.values()) else 1
@@ -173,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of all decoder gradients")
     p_grad.add_argument("--config", help="JSON run configuration (inputs capped at 32x32)")
-    p_grad.add_argument("--tamper", action="store_true", help=argparse.SUPPRESS)
     p_grad.set_defaults(fn=cmd_gradcheck)
 
     p_flops = sub.add_parser("flops", help="closed-form vs counted attention MACs, CSV")
@@ -188,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(fn=cmd_bench)
 
     p_self = sub.add_parser("selftest", help="run the built-in verification suites")
-    p_self.add_argument("--tamper", action="store_true", help=argparse.SUPPRESS)
     p_self.set_defaults(fn=cmd_selftest)
     return parser
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .analysis import AttnConfig
+from .analysis import MIN_REPEATS, MIN_WARMUP, AttnConfig
 from .decoder import DecoderParams, DecoderSpec, init_decoder_params
 from .synth import FeaturePyramid, PyramidSpec, _addressable, _as_int, _require, generate_pyramid
 
@@ -29,6 +29,11 @@ class BenchSettings:
     heads: int
     repeats: int
     warmup: int
+
+    def attn_config(self) -> AttnConfig:
+        """The square attention case `stripseg bench` times for each mixer."""
+        n, c = self.n_tokens, self.channels
+        return AttnConfig(n_q=n, n_kv=n, c_q=c, c_kv=c, heads=self.heads, dim_head=c // self.heads)
 
 
 @dataclass
@@ -130,6 +135,19 @@ def _weight(shape: tuple[int, ...], factors: dict[str, int], what: str) -> None:
     _addressable(shape, max(factors, key=factors.get), what)
 
 
+def _attn_arrays(cfg: AttnConfig, paths: dict[str, str]) -> None:
+    """_weight on the inputs, projection weights and scores that count_flops
+    and bench_mixer form for cfg with any mixer ("sa" attends over its
+    queries; strip qk weights are the smallest). paths maps each AttnConfig
+    field to its document path."""
+    h, d = cfg.heads, cfg.dim_head
+    for side, n, c in (("q", cfg.n_q, cfg.c_q), ("kv", cfg.n_kv, cfg.c_kv)):
+        n_path, c_path = paths[f"n_{side}"], paths[f"c_{side}"]
+        _weight((1, n, c), {n_path: n, c_path: c}, f"{side} input")
+        _weight((h * d, c), {paths["heads"]: h, paths["dim_head"]: d, c_path: c}, f"{side} projection")
+        _weight((h, cfg.n_q, n), {paths["heads"]: h, paths["n_q"]: cfg.n_q, n_path: n}, f"{side} scores")
+
+
 def _resolve(base: dict) -> RunConfig:
     """The RunConfig of a merged document. PyramidSpec and DecoderSpec check
     their own sections; the rest of the rules are here."""
@@ -169,10 +187,12 @@ def _resolve(base: dict) -> RunConfig:
         n_tokens=_as_int(bench_doc["n_tokens"], "bench.n_tokens", 1),
         channels=_as_int(bench_doc["channels"], "bench.channels", 1),
         heads=_as_int(bench_doc["heads"], "bench.heads", 1),
-        repeats=_as_int(bench_doc["repeats"], "bench.repeats", 9),
-        warmup=_as_int(bench_doc["warmup"], "bench.warmup", 2),
+        repeats=_as_int(bench_doc["repeats"], "bench.repeats", MIN_REPEATS),
+        warmup=_as_int(bench_doc["warmup"], "bench.warmup", MIN_WARMUP),
     )
     _require(bench.channels % bench.heads == 0, "bench.channels", "must divide by bench.heads")
+    n, c = "bench.n_tokens", "bench.channels"  # dim_head is channels // heads
+    _attn_arrays(bench.attn_config(), dict(n_q=n, n_kv=n, c_q=c, c_kv=c, heads="bench.heads", dim_head=c))
 
     sweep_cfgs = None
     if base["sweep"] is not None:
@@ -185,6 +205,7 @@ def _resolve(base: dict) -> RunConfig:
             _check_keys(entry, entry_defaults, f"sweep[{i}]")
             merged = {**entry_defaults, **entry}
             sweep_cfgs.append(AttnConfig(**{k: _as_int(merged[k], f"sweep[{i}].{k}", 1) for k in entry_defaults}))
+            _attn_arrays(sweep_cfgs[-1], {k: f"sweep[{i}].{k}" for k in entry_defaults})
 
     output_dir = base["output_dir"]
     _require(isinstance(output_dir, str) and output_dir, "output_dir", "must be a non-empty string")

@@ -94,8 +94,7 @@ def suite_invariants() -> bool:
 
 
 def suite_identities() -> bool:
-    """Resize and pool fixed points and the zero softmax gradient; the
-    backward tamper switch makes the last one fail."""
+    """Resize and pool fixed points and the zero softmax gradient."""
     ok = True
     stream = substream(5, 3)
     x = Tensor(normal_array(stream, (2, 3, 8, 8)))

@@ -144,17 +144,6 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
     return {tid: Tensor(g) for tid, g in grads.items()}
 
 
-# Test hook: when enabled, the softmax backward pass is deliberately scaled by
-# a wrong factor so negative-control checks can confirm gradient verification
-# actually detects a corrupted adjoint.
-_TAMPER_BACKWARD = False
-
-
-def set_backward_tamper(enabled: bool) -> None:
-    global _TAMPER_BACKWARD
-    _TAMPER_BACKWARD = bool(enabled)
-
-
 # ---------------------------------------------------------------------------
 # MAC instrumentation
 # ---------------------------------------------------------------------------
@@ -222,49 +211,54 @@ class LinearParams:
     bias: Optional[np.ndarray] = None
 
 
-def flatten_params(obj, prefix: str = "") -> list[tuple[str, np.ndarray]]:
+# bind_params runs on every decode; caching the names keeps fields() off that path.
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _map_arrays(node, fn: Callable[[str, np.ndarray], object], path: str = ""):
+    """node with every array replaced by fn(dotted name, array).
+
+    Names are "a.b" for dataclass fields and "a[i]" for list and tuple items;
+    dataclasses, lists and tuples are rebuilt, anything else is kept.
+    """
+    if isinstance(node, np.ndarray):
+        return fn(path, node)
+    if is_dataclass(node):
+        dot = f"{path}." if path else ""
+        cls = type(node)
+        return cls(**{n: _map_arrays(getattr(node, n), fn, dot + n) for n in _field_names(cls)})
+    if isinstance(node, list):
+        return [_map_arrays(item, fn, f"{path}[{i}]") for i, item in enumerate(node)]
+    if isinstance(node, tuple):
+        return tuple([_map_arrays(item, fn, f"{path}[{i}]") for i, item in enumerate(node)])
+    if isinstance(node, Tensor):
+        raise TypeError(f"parameter {path!r} is already bound; pass storage arrays")
+    return node
+
+
+def flatten_params(obj) -> list[tuple[str, np.ndarray]]:
     """Depth-first list of (dotted name, array) over a nested parameter bundle."""
     out: list[tuple[str, np.ndarray]] = []
-    if isinstance(obj, np.ndarray):
-        out.append((prefix, obj))
-    elif isinstance(obj, Tensor):
-        raise TypeError(f"parameter {prefix!r} is already bound; flatten storage arrays")
-    elif is_dataclass(obj):
-        for f in fields(obj):
-            name = f"{prefix}.{f.name}" if prefix else f.name
-            out.extend(flatten_params(getattr(obj, f.name), name))
-    elif isinstance(obj, (list, tuple)):
-        for i, item in enumerate(obj):
-            out.extend(flatten_params(item, f"{prefix}[{i}]"))
+    _map_arrays(obj, lambda name, arr: out.append((name, arr)))
     return out
 
 
-def bind_params(obj, tape: Optional[Tape], prefix: str = ""):
+def bind_params(obj, tape: Optional[Tape]):
     """Wrap every array in a parameter bundle as a Tensor, sharing buffers.
 
     With a tape, arrays become differentiable leaves. Returns the bound bundle
     and a map from dotted parameter name to its leaf Tensor.
     """
+    make = tape.leaf if tape is not None else Tensor
     leaves: dict[str, Tensor] = {}
 
-    def walk(node, path):
-        if isinstance(node, np.ndarray):
-            t = tape.leaf(node) if tape is not None else Tensor(node)
-            leaves[path] = t
-            return t
-        if is_dataclass(node):
-            kwargs = {}
-            for f in fields(node):
-                sub = f"{path}.{f.name}" if path else f.name
-                kwargs[f.name] = walk(getattr(node, f.name), sub)
-            return type(node)(**kwargs)
-        if isinstance(node, list):
-            return [walk(item, f"{path}[{i}]") for i, item in enumerate(node)]
-        if isinstance(node, tuple):
-            return tuple(walk(item, f"{path}[{i}]") for i, item in enumerate(node))
-        return node
+    def bind(name, arr):
+        leaves[name] = t = make(arr)
+        return t
 
-    return walk(obj, prefix), leaves
+    return _map_arrays(obj, bind), leaves
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +369,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
         blk /= blk.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
-        lead = g * 1.05 if _TAMPER_BACKWARD else g
-        return (out * (lead - (g * out).sum(axis=-1, keepdims=True)),)
+        return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
 
     return _emit(out, (x,), backward_fn)
 

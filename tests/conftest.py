@@ -1,4 +1,5 @@
-"""Shared helpers: deterministic random arrays and the op-level FD checker."""
+"""Shared helpers: deterministic random arrays, the op-level FD checker and a
+softmax with a wrong adjoint for negative controls."""
 
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 
 from stripseg.gradcheck import fd_gradient, max_rel_error
 from stripseg.synth import normal_array, substream
-from stripseg.tensor import Tape, Tensor, backward, mul, sum_all
+from stripseg.tensor import Tape, Tensor, _emit, backward, mul, softmax_lastdim, sum_all
 
 
 def rand_uniform(shape, seed, lo=-2.0, hi=2.0):
@@ -43,3 +44,19 @@ def op_gradcheck(build, arrays, seed=0, step=1e-5):
         analytic = got.data if got is not None else np.zeros_like(arr)
         worst = max(worst, max_rel_error(analytic, fd_gradient(loss_fn, arr, step)))
     return worst
+
+
+def tampered_softmax(x):
+    """softmax_lastdim's forward with the adjoint out*(1.05*g - sum(g*out)).
+
+    The extra 5% on the leading term is a deliberately wrong backward: a
+    gradient check that passes with it in place of softmax_lastdim checks
+    nothing. (Scaling the whole adjoint is not enough: the zero softmax
+    gradient stays zero under a uniform scale.)
+    """
+    out = softmax_lastdim(Tensor(x.data)).data
+
+    def backward_fn(g):
+        return (out * (g * 1.05 - (g * out).sum(axis=-1, keepdims=True)),)
+
+    return _emit(out, (x,), backward_fn)

@@ -9,8 +9,9 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from conftest import tampered_softmax
 
-from stripseg import selftest
+from stripseg import attention, selftest
 from stripseg.attention import AttnOutput
 from stripseg.cli import main
 from stripseg.config import FORWARD_DEFAULTS, GRADCHECK_DEFAULTS, RunConfig, config_echo, resolve_config
@@ -124,6 +125,9 @@ class TestForward:
             ({"decoder": {"dim_head": 2**64}}, 2, "config error: decoder.dim_head: stage 1 value projection "),
             ({"decoder": {"mlp_expansion": 2**64}}, 2, "config error: decoder.mlp_expansion: stage 1 MLP weight "),
             ({"decoder": {"heads": [1, 1, 1, 2**64]}}, 2, "config error: decoder.heads[3]: stage 4 value projection "),
+            ({"sweep": [{"n_q": 2**64}]}, 2, "config error: sweep[0].n_q: q input "),
+            ({"bench": {"n_tokens": 2**64}}, 2, "config error: bench.n_tokens: q input "),
+            ({"bench": {"channels": 2**64, "heads": 1}}, 2, "config error: bench.channels: q input "),
         ],
         ids=[
             "height-2**64",
@@ -133,6 +137,9 @@ class TestForward:
             "dim_head-2**64",
             "mlp_expansion-2**64",
             "heads[3]-2**64",
+            "sweep-n_q-2**64",
+            "bench-n_tokens-2**64",
+            "bench-channels-2**64",
         ],
     )
     def test_oversized_arrays_exit_with_one_line(self, tmp_path, capsys, doc, code, message):
@@ -200,11 +207,13 @@ class TestGradcheck:
         assert "worst relative error" in out
         assert "FAIL" not in out
 
-    def test_tampered_backward_is_detected(self, tmp_path):
+    def test_tampered_backward_is_detected(self, tmp_path, monkeypatch, capsys):
         doc = json.loads(json.dumps(TINY_GRADCHECK))
         doc["decoder"]["init_std"] = 0.5
         cfg = write_config(tmp_path, doc)
-        assert main(["gradcheck", "--config", cfg, "--tamper"]) == 1
+        monkeypatch.setattr(attention, "softmax_lastdim", tampered_softmax)
+        assert main(["gradcheck", "--config", cfg]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_oversize_config_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"pyramid": {"height": 64, "width": 64}})
@@ -268,9 +277,11 @@ class TestSelftest:
         for suite in ("oracle-equivalence", "invariants", "identities"):
             assert f"{suite}: PASS" in out
 
-    def test_tamper_flips_exit_code(self, capsys):
-        assert main(["selftest", "--tamper"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_tamper_flips_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(selftest, "softmax_lastdim", tampered_softmax)
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines() == ["oracle-equivalence: PASS", "invariants: PASS", "identities: FAIL"]
 
     def test_drifting_kernel_fails_the_shared_checks(self, monkeypatch):
         # each call moves the kernel's output a further 1e-9: it leaves the

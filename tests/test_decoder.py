@@ -248,6 +248,15 @@ class TestCLB:
 
 
 class TestDecode:
+    def test_leaf_names_are_flatten_params_names(self):
+        # decoder_gradcheck looks each flatten_params name up in param_leaves
+        cfg = resolve_config({})
+        params = build_decoder_params(cfg)
+        trace = decode(build_pyramid(cfg), params, Tape())
+        names = [name for name, _ in flatten_params(params)]
+        assert len(names) == 122
+        assert list(trace.param_leaves) == names
+
     def test_shape_contract(self):
         cfg = resolve_config({})
         pyr = build_pyramid(cfg)

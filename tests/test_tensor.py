@@ -1,12 +1,14 @@
 """Kernel-level contracts: worked examples, gradients, and invariants."""
 
-import importlib
+import inspect
 import math
 
 import numpy as np
 import pytest
-from conftest import op_gradcheck, rand_normal, rand_uniform
+from conftest import op_gradcheck, rand_normal, rand_uniform, tampered_softmax
 
+import stripseg
+import stripseg.tensor as tensor_module
 from stripseg.tensor import (
     LinearParams,
     ShapeError,
@@ -20,6 +22,7 @@ from stripseg.tensor import (
     concat_lastdim,
     count_macs,
     depthwise_conv,
+    flatten_params,
     gelu,
     global_avg_pool,
     layernorm,
@@ -31,7 +34,6 @@ from stripseg.tensor import (
     reshape,
     scalar_mul,
     scale_channels,
-    set_backward_tamper,
     sigmoid,
     softmax_lastdim,
     sum_all,
@@ -39,11 +41,11 @@ from stripseg.tensor import (
     transpose,
 )
 
-# the package re-exports the tensor() constructor under the module's name
-tensor_module = importlib.import_module("stripseg.tensor")
-
 
 class TestTensorBasics:
+    def test_package_attribute_is_the_module(self):
+        assert inspect.ismodule(stripseg.tensor)
+
     def test_data_is_immutable(self):
         t = Tensor([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -338,6 +340,12 @@ class TestLinear:
         with pytest.raises(ShapeError):
             linear(Tensor(np.zeros((2, 5))), bound)
 
+    @pytest.mark.parametrize("walk", [flatten_params, lambda p: bind_params(p, None)], ids=["flatten", "bind"])
+    def test_bound_bundle_is_rejected(self, walk):
+        bound, _ = bind_params(LinearParams(np.zeros((3, 4)), np.zeros(3)), None)
+        with pytest.raises(TypeError, match="'weight' is already bound"):
+            walk(bound)
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
@@ -528,12 +536,7 @@ class TestGradients:
 
     def test_tamper_hook_is_detected(self):
         x = rand_uniform((3, 4), seed=59)
-        set_backward_tamper(True)
-        try:
-            err = op_gradcheck(softmax_lastdim, [x], seed=59)
-        finally:
-            set_backward_tamper(False)
-        assert err > GRADCHECK_TOL
+        assert op_gradcheck(tampered_softmax, [x], seed=59) > GRADCHECK_TOL
 
 
 class TestFiniteness:
