@@ -10,7 +10,13 @@ width. The qk width is never stored: it is read off the projection shapes.
 Head layout convention (fixed so tests are deterministic): query/key
 channels [h*qk, (h+1)*qk) belong to head h, so with qk width 1 channel h is
 head h's strip logit; value channels [h*dim_head, (h+1)*dim_head) belong to
-head h. Attention maps are retained on the output for inspection.
+head h.
+
+Each call returns its softmax map beside its output, for inspection. Inside
+the kernel at most two map-sized buffers are alive at once: the logits are
+released once they are scaled, and the scaled logits once the softmax has
+run. Holding the returned map is the caller's choice; decode drops it, and
+DecodeTrace.attn rebuilds it on request.
 """
 
 from __future__ import annotations
@@ -132,7 +138,11 @@ def cross_attention(xq: Tensor, xkv: Tensor, p: AttnParams) -> AttnOutput:
         v = _split_heads(linear(xkv, p.wv), p.heads, p.dim_head)
     with mac_region("attn_scores"):
         scores = matmul(q, transpose(k, (0, 1, 3, 2)))
-    attn = softmax_lastdim(scalar_mul(scores, p.scale))
+    # at most two map-sized buffers alive at once; a tape keeps only attn
+    scaled = scalar_mul(scores, p.scale)
+    del scores
+    attn = softmax_lastdim(scaled)
+    del scaled
     with mac_region("attn_mix"):
         mixed = matmul(attn, v)
     with mac_region("out_proj"):

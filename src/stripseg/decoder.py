@@ -14,13 +14,14 @@ token count stays small and constant across stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .attention import (
     MIXER_KINDS,
+    AttnOutput,
     AttnParams,
     cross_attention,
     init_mixer_params,
@@ -47,6 +48,7 @@ from .tensor import (
     reshape,
     scale_channels,
     sigmoid,
+    slice_lastdim,
     transpose,
 )
 
@@ -149,13 +151,42 @@ class DecoderParams:
 
 @dataclass
 class DecodeTrace:
-    """Everything a decode run produced; lists are indexed by stage - 1."""
+    """Everything a decode run produced; lists are indexed by stage - 1.
+
+    The mixed key/value tokens, the decoded features and the mask are held.
+    The attention maps are not: decode drops each stage's map once the
+    stage's block returns, and `attn` rebuilds all four on its first read
+    and caches them. The rebuild reruns mixer_branch on the pyramid's lateral
+    features and the held mixed tokens, with the parameters bound without a
+    tape, so the maps are bit-equal to the dropped ones and add no node to a
+    decode's tape. The rebuild reads the pyramid and parameter arrays as they
+    are at that first read, so change neither in place before it.
+    """
 
     mixed: list
     decoded: list
-    attn: list
     mask: Tensor
+    pyramid: FeaturePyramid
+    params: DecoderParams
     param_leaves: Optional[dict] = None
+    _attn: Optional[list] = field(default=None, init=False, repr=False)
+
+    @property
+    def attn(self) -> list:
+        if self._attn is None:
+            bound, _ = bind_params(self.params, None)
+            spec = self.params.spec
+            self._attn = [
+                mixer_branch(
+                    tokens_from_grid(Tensor(self.pyramid.features[stage - 1])),
+                    Tensor(self.mixed[stage - 1].data),
+                    bound.clb[stage - 1],
+                    spec.mixer,
+                    spec.layernorm_eps,
+                ).attn
+                for stage in range(1, 5)
+            ]
+        return self._attn
 
 
 def tokens_from_grid(x: Tensor) -> Tensor:
@@ -214,6 +245,19 @@ def lpm(x: Tensor, h: int, w: int, p: LPMParams) -> Tensor:
     return tokens_from_grid(out)
 
 
+def mixer_branch(f: Tensor, m: Tensor, p: CLBParams, mixer_kind: str, eps: float) -> AttnOutput:
+    """A block's token mixer on layer-normalized inputs, before its residual:
+    queries from f, keys/values from m (from f for "sa")."""
+    if mixer_kind not in MIXER_KINDS:
+        raise ValueError(f"unknown mixer kind {mixer_kind!r}")
+    q_in = layernorm(f, p.ln1_gamma, p.ln1_beta, eps)
+    if mixer_kind == "sa":
+        return self_attention(q_in, p.mixer)
+    kv_in = layernorm(m, p.ln_kv_gamma, p.ln_kv_beta, eps)
+    mixer = strip_cross_attention if mixer_kind == "sca" else cross_attention
+    return mixer(q_in, kv_in, p.mixer)
+
+
 def clb(
     f: Tensor,
     m: Tensor,
@@ -225,15 +269,7 @@ def clb(
     eps: float = 1e-6,
 ) -> tuple[Tensor, Tensor]:
     """One decoder block; returns (refined tokens, attention map)."""
-    if mixer_kind not in MIXER_KINDS:
-        raise ValueError(f"unknown mixer kind {mixer_kind!r}")
-    q_in = layernorm(f, p.ln1_gamma, p.ln1_beta, eps)
-    if mixer_kind == "sa":
-        att = self_attention(q_in, p.mixer)
-    else:
-        kv_in = layernorm(m, p.ln_kv_gamma, p.ln_kv_beta, eps)
-        mixer = strip_cross_attention if mixer_kind == "sca" else cross_attention
-        att = mixer(q_in, kv_in, p.mixer)
+    att = mixer_branch(f, m, p, mixer_kind, eps)
     z_g = add(att.out, f)
     if lpm_enabled:
         z_gl = add(lpm(layernorm(z_g, p.ln2_gamma, p.ln2_beta, eps), h, w, p.lpm), z_g)
@@ -245,7 +281,15 @@ def clb(
 
 
 def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] = None) -> DecodeTrace:
-    """Run the full decode: stages 4 down to 1, then upsample-and-fuse.
+    """Run the full decode: stages 4 down to 1, then the fuse head.
+
+    The fuse projects each decoded stage to class logits on its own grid,
+    with the stage's column block of fuse_mlp's weight, resizes the logits
+    of stages 2-4 to the stage-1 grid and sums the four; stage 1's
+    projection adds the bias. A per-pixel linear map commutes with a
+    per-channel bilinear resize, and every resize row sums to 1, so this is
+    fuse_mlp applied to the concatenated upsampled stages, up to rounding,
+    without building sum(channels) channels on the stage-1 grid.
 
     With a tape, every parameter array is registered as a differentiable
     leaf; the trace carries the name -> leaf map for gradient lookup.
@@ -255,8 +299,8 @@ def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] 
     spec = pyramid.spec
 
     mixed: list = [None] * 4
-    attn_maps: list = [None] * 4
     decoded_grid: dict[int, Tensor] = {}
+    logits: dict[int, Tensor] = {}
     h4, w4 = spec.stage_grid(4)
 
     for stage in range(4, 0, -1):
@@ -273,7 +317,8 @@ def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] 
             else:
                 m = tokens_from_grid(adaptive_avg_pool(feats[stage - 1], h4, w4))
             h_s, w_s = spec.stage_grid(stage)
-            d_tokens, att = clb(
+            # [0] drops the stage's attention map here; trace.attn rebuilds it
+            d_tokens = clb(
                 tokens_from_grid(feats[stage - 1]),
                 m,
                 h_s,
@@ -282,23 +327,29 @@ def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] 
                 params.spec.mixer,
                 params.spec.lpm_enabled,
                 params.spec.layernorm_eps,
+            )[0]
+            lo = sum(spec.channels[: stage - 1])
+            head = LinearParams(
+                slice_lastdim(bound.fuse_mlp.weight, lo, lo + c_stage),
+                bound.fuse_mlp.bias if stage == 1 else None,
             )
+            logits[stage] = grid_from_tokens(linear(d_tokens, head), h_s, w_s)
         except ShapeError as exc:
             raise ShapeError(f"stage {stage}: {exc}") from exc
         mixed[stage - 1] = m
-        attn_maps[stage - 1] = att
         decoded_grid[stage] = grid_from_tokens(d_tokens, h_s, w_s)
 
     h1, w1 = spec.stage_grid(1)
-    upsampled = [bilinear_resize(decoded_grid[stage], h1, w1) for stage in range(1, 5)]
-    fused = concat_lastdim([tokens_from_grid(u) for u in upsampled])
-    mask = grid_from_tokens(linear(fused, bound.fuse_mlp), h1, w1)
+    mask = logits[1]
+    for stage in range(2, 5):
+        mask = add(mask, bilinear_resize(logits[stage], h1, w1))
 
     return DecodeTrace(
         mixed=mixed,
         decoded=[decoded_grid[s] for s in range(1, 5)],
-        attn=attn_maps,
         mask=mask,
+        pyramid=pyramid,
+        params=params,
         param_leaves=leaves if tape is not None else None,
     )
 

@@ -616,6 +616,21 @@ def concat_lastdim(parts: Sequence[Tensor]) -> Tensor:
     return _emit(out, tuple(parts), backward_fn)
 
 
+def slice_lastdim(x: Tensor, start: int, stop: int) -> Tensor:
+    """Entries [start, stop) of the last axis, as a view of x's buffer."""
+    if x.data.ndim == 0 or not 0 <= start < stop <= x.shape[-1]:
+        raise ShapeError(f"cannot take [{start}, {stop}) of the last axis of {x.shape}")
+    out = x.data[..., start:stop]
+    x_shape = x.shape
+
+    def backward_fn(g):
+        gx = np.zeros(x_shape)
+        gx[..., start:stop] = g
+        return (gx,)
+
+    return _emit(out, (x,), backward_fn)
+
+
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     out = x.data.reshape(shape)
@@ -630,10 +645,9 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     out = np.ascontiguousarray(x.data.transpose(axes))
-    inverse = tuple(np.argsort(axes))
 
     def backward_fn(g):
-        return (np.ascontiguousarray(g.transpose(inverse)),)
+        return (np.ascontiguousarray(g.transpose(tuple(np.argsort(axes)))),)
 
     return _emit(out, (x,), backward_fn)
 

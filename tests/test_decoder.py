@@ -2,18 +2,41 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import rand_normal
 from scipy.special import erf
 
+import stripseg.attention as attention_module
+import stripseg.decoder as decoder_module
 from stripseg.attention import oracle_attention
 from stripseg.config import build_decoder_params, build_pyramid, resolve_config
-from stripseg.decoder import build_mixed_kv, clb, decode, init_decoder_params, lpm
+from stripseg.decoder import (
+    build_mixed_kv,
+    clb,
+    decode,
+    grid_from_tokens,
+    init_decoder_params,
+    lpm,
+    tokens_from_grid,
+)
 from stripseg.gradcheck import fd_gradient, max_rel_error
 from stripseg.synth import PyramidSpec, generate_pyramid
-from stripseg.tensor import ShapeError, Tape, Tensor, backward, bind_params, flatten_params, sum_all
+from stripseg.tensor import (
+    ShapeError,
+    Tape,
+    Tensor,
+    backward,
+    bilinear_resize,
+    bind_params,
+    concat_lastdim,
+    flatten_params,
+    linear,
+    softmax_lastdim,
+    sum_all,
+)
 
 
 def small_config(**overrides):
@@ -329,6 +352,21 @@ class TestDecode:
         got_b = grads[trace.param_leaves["fuse_mlp.bias"].tid].data
         np.testing.assert_allclose(got_b, np.full(params.spec.num_classes, 256.0), atol=1e-9)
 
+    @pytest.mark.parametrize("mixer", ["sca", "ca", "sa"])
+    @pytest.mark.parametrize("size", [{}, {"height": 64, "width": 128}], ids=["default", "64x128"])
+    def test_fuse_matches_resize_concat_project(self, mixer, size):
+        # the fuse projects each stage before resizing it; resizing every
+        # decoded stage, concatenating the channels and projecting once is
+        # the same map, up to rounding
+        cfg = resolve_config({"pyramid": size, "decoder": {"mixer": mixer}})
+        params = build_decoder_params(cfg)
+        trace = decode(build_pyramid(cfg), params)
+        h1, w1 = cfg.pyramid.stage_grid(1)
+        upsampled = [tokens_from_grid(bilinear_resize(d, h1, w1)) for d in trace.decoded]
+        fuse, _ = bind_params(params.fuse_mlp, None)
+        expect = grid_from_tokens(linear(concat_lastdim(upsampled), fuse), h1, w1)
+        np.testing.assert_allclose(trace.mask.data, expect.data, rtol=0, atol=1e-13)
+
     def test_sampled_leaf_gradients(self):
         # fast spot-check; the acceptance suite differences every leaf
         cfg = resolve_config({
@@ -364,6 +402,73 @@ class TestDecode:
 # ---------------------------------------------------------------------------
 # Spec validation on the library path
 # ---------------------------------------------------------------------------
+
+
+class TestLazyAttentionMaps:
+    def test_maps_are_built_on_first_read_only(self, monkeypatch):
+        calls = []
+
+        def counting(x):
+            calls.append(x.shape)
+            return softmax_lastdim(x)
+
+        monkeypatch.setattr(attention_module, "softmax_lastdim", counting)
+        cfg = resolve_config({})
+        trace = decode(build_pyramid(cfg), build_decoder_params(cfg))
+        assert len(calls) == 4
+        trace.attn
+        assert len(calls) == 8
+        trace.attn
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize("mixer", ["sca", "ca", "sa"])
+    def test_rebuilt_maps_equal_the_maps_clb_returned(self, monkeypatch, mixer, taped):
+        returned = {}
+
+        def recording(f, m, h, w, *rest):
+            out = clb(f, m, h, w, *rest)
+            returned[(h, w)] = out[1].data
+            return out
+
+        monkeypatch.setattr(decoder_module, "clb", recording)
+        cfg = small_config(decoder={"mixer": mixer})
+        trace = decode(build_pyramid(cfg), build_decoder_params(cfg), Tape() if taped else None)
+        for stage in range(1, 5):
+            assert np.array_equal(trace.attn[stage - 1].data, returned[cfg.pyramid.stage_grid(stage)])
+
+    def test_reading_maps_adds_no_tape_node(self):
+        cfg = small_config()
+        tape = Tape()
+        trace = decode(build_pyramid(cfg), build_decoder_params(cfg), tape)
+        nodes = len(tape.nodes)
+        assert all(a.tape is None for a in trace.attn)
+        assert len(tape.nodes) == nodes
+
+
+@pytest.mark.parametrize("mixer", ["sca", "ca"])
+def test_untaped_decode_peak_memory(mixer):
+    # 128x256 at the realistic widths. Resizing all 512 channels to the
+    # stage-1 grid before the fuse projection and holding the four attention
+    # maps peaked at 27.0 MiB; projecting first and dropping the maps, 9.9.
+    cfg = resolve_config({
+        "pyramid": {"height": 128, "width": 256, "channels": [32, 64, 160, 256]},
+        "decoder": {"mixer": mixer, "heads": [1, 2, 5, 8], "dim_head": 32},
+    })
+    pyr = build_pyramid(cfg)
+    params = build_decoder_params(cfg)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        decode(pyr, params)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 16 * 2**20, f"one untaped decode peaked at {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize(

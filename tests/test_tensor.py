@@ -14,6 +14,7 @@ from stripseg.tensor import (
     ShapeError,
     Tape,
     Tensor,
+    _emit,
     adaptive_avg_pool,
     add,
     backward,
@@ -35,6 +36,7 @@ from stripseg.tensor import (
     scalar_mul,
     scale_channels,
     sigmoid,
+    slice_lastdim,
     softmax_lastdim,
     sum_all,
     tensor,
@@ -347,6 +349,20 @@ class TestLinear:
             walk(bound)
 
 
+class TestSliceLastdim:
+    @pytest.mark.parametrize("shape,start,stop", [((3, 7), 2, 5), ((2, 3, 4), 0, 4), ((4, 6), 5, 6)])
+    def test_matches_numpy_slice_and_is_read_only(self, shape, start, stop):
+        x = rand_uniform(shape, seed=70)
+        out = slice_lastdim(Tensor(x), start, stop)
+        np.testing.assert_array_equal(out.data, x[..., start:stop])
+        assert not out.data.flags.writeable
+
+    @pytest.mark.parametrize("start,stop", [(0, 0), (3, 2), (-1, 2), (1, 8)])
+    def test_rejects_empty_or_out_of_range(self, start, stop):
+        with pytest.raises(ShapeError):
+            slice_lastdim(Tensor(np.zeros((2, 7))), start, stop)
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         tape = Tape()
@@ -533,6 +549,25 @@ class TestGradients:
         assert op_gradcheck(lambda t: transpose(t, axes), [x], seed=seed + 210) < GRADCHECK_TOL
         y = rand_uniform(shape, seed=seed + 220)
         assert op_gradcheck(lambda a, b: concat_lastdim([a, b]), [x, y], seed=seed + 230) < GRADCHECK_TOL
+
+    @pytest.mark.parametrize("seed,shape,start,stop", [(71, (3, 7), 2, 5), (72, (2, 3, 4), 0, 4), (73, (4, 6), 5, 6), (74, (5, 3), 0, 1), (75, (2, 2, 5), 1, 3)])
+    def test_slice_lastdim(self, seed, shape, start, stop):
+        build = lambda x: slice_lastdim(x, start, stop)
+        assert op_gradcheck(build, [rand_uniform(shape, seed=seed)], seed=seed) < GRADCHECK_TOL
+
+    def test_misplaced_slice_adjoint_is_detected(self):
+        # slice_lastdim's forward with g written one column right of the slice
+        def shifted(x):
+            out = slice_lastdim(Tensor(x.data), 1, 3).data
+
+            def backward_fn(g):
+                gx = np.zeros(x.shape)
+                gx[..., 2:4] = g
+                return (gx,)
+
+            return _emit(out, (x,), backward_fn)
+
+        assert op_gradcheck(shifted, [rand_uniform((3, 6), seed=76)], seed=76) > GRADCHECK_TOL
 
     def test_tamper_hook_is_detected(self):
         x = rand_uniform((3, 4), seed=59)
