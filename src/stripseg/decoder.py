@@ -339,6 +339,9 @@ def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] 
         mixed[stage - 1] = m
         decoded_grid[stage] = grid_from_tokens(d_tokens, h_s, w_s)
 
+    fuse_in = bound.fuse_mlp.weight.shape[1]
+    if fuse_in != sum(spec.channels):
+        raise ShapeError(f"fuse weight takes {fuse_in} channels, pyramid provides {sum(spec.channels)}")
     h1, w1 = spec.stage_grid(1)
     mask = logits[1]
     for stage in range(2, 5):

@@ -327,6 +327,15 @@ class TestDecode:
             decode(pyr, build_decoder_params(other))
         assert "stage" in str(err.value)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_fuse_width_mismatch_is_shape_error(self, extra):
+        cfg = small_config()
+        params = build_decoder_params(cfg)
+        k, c = params.fuse_mlp.weight.shape
+        params.fuse_mlp.weight = np.zeros((k, c + extra))
+        with pytest.raises(ShapeError):
+            decode(build_pyramid(cfg), params)
+
     def test_fuse_gradient_matches_hand_chain_rule(self):
         # under the zero-branch identity the decode reduces to
         # mask = fuse(concat(upsample(F_i))), so d sum(mask) / d fuse
