@@ -131,13 +131,15 @@ def cross_attention(xq: Tensor, xkv: Tensor, p: AttnParams) -> AttnOutput:
     if xq.data.ndim != 3 or xkv.data.ndim != 3:
         raise ShapeError(f"attention inputs must be [B,N,C], got {xq.shape} and {xkv.shape}")
     qk = p.wq.weight.shape[0] // p.heads
+    b, n_kv, _ = xkv.shape
     with mac_region("qk_proj"):
         q = _split_heads(linear(xq, p.wq), p.heads, qk)
-        k = _split_heads(linear(xkv, p.wk), p.heads, qk)
+        # keys laid out once, straight to [B, heads, qk, N_kv]
+        k_t = transpose(reshape(linear(xkv, p.wk), (b, n_kv, p.heads, qk)), (0, 2, 3, 1))
     with mac_region("v_proj"):
         v = _split_heads(linear(xkv, p.wv), p.heads, p.dim_head)
     with mac_region("attn_scores"):
-        scores = matmul(q, transpose(k, (0, 1, 3, 2)))
+        scores = matmul(q, k_t)
     # at most two map-sized buffers alive at once; a tape keeps only attn
     scaled = scalar_mul(scores, p.scale)
     del scores

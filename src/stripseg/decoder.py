@@ -7,15 +7,17 @@ normalization. The mixer's key/value source blends all pyramid levels:
 encoder features for stages at or below the current one, already-decoded
 features above it.
 
-Alignment of the mixed key/value: every constituent is average-pooled to the
+Alignment of the mixed key/value: every level is average-pooled to the
 stage-4 grid (H/32 x W/32) and concatenated along channels, so the key/value
-token count stays small and constant across stages.
+token count stays small and constant across stages. Each level is pooled
+once per decode: the encoder levels before stage 4 runs, and a decoded
+level as soon as its stage is done, when a lower stage mixes across layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -203,27 +205,13 @@ def grid_from_tokens(x: Tensor, h: int, w: int) -> Tensor:
     return transpose(reshape(x, (b, h, w, c)), (0, 3, 1, 2))
 
 
-def build_mixed_kv(
-    features: Sequence[Tensor],
-    decoded: Mapping[int, Tensor],
-    stage: int,
-) -> Tensor:
-    """Key/value tokens for one stage: pooled encoder features for levels
-    <= stage, decoded features for levels > stage, channel-concatenated on
-    the stage-4 grid.
+def build_mixed_kv(pooled: Sequence[Tensor]) -> Tensor:
+    """Key/value tokens for one stage: the four levels' pooled tokens on the
+    stage-4 grid, channel-concatenated in level order. decode passes the
+    pooled encoder levels at or below the stage and the pooled decoded
+    levels above it.
     """
-    target_h, target_w = features[3].shape[2:]
-    parts = []
-    for level in range(1, 5):
-        if level <= stage:
-            src = features[level - 1]
-        else:
-            if level not in decoded:
-                raise ValueError(f"stage {stage} mixed kv needs decoded stage {level}")
-            src = decoded[level]
-        pooled = adaptive_avg_pool(src, target_h, target_w)
-        parts.append(tokens_from_grid(pooled))
-    return concat_lastdim(parts)
+    return concat_lastdim(pooled)
 
 
 def lpm(x: Tensor, h: int, w: int, p: LPMParams) -> Tensor:
@@ -297,25 +285,29 @@ def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] 
     bound, leaves = bind_params(params, tape)
     feats = [Tensor(f) for f in pyramid.features]
     spec = pyramid.spec
+    # refuse parameters of the wrong widths before any stage runs
+    for stage, (c, block) in enumerate(zip(spec.channels, bound.clb), 1):
+        if block.ln1_gamma.shape != (c,):
+            raise ShapeError(
+                f"stage {stage}: block expects {block.ln1_gamma.shape[0]} channels, pyramid provides {c}"
+            )
+    fuse_in = bound.fuse_mlp.weight.shape[1]
+    if fuse_in != sum(spec.channels):
+        raise ShapeError(f"fuse weight takes {fuse_in} channels, pyramid provides {sum(spec.channels)}")
+    cross = params.spec.cross_layer_enabled
+    h4, w4 = spec.stage_grid(4)
+    # level l's tokens on the stage-4 grid: the encoder feature until stage l
+    # is decoded, then the decoded feature if a lower stage will read it
+    pooled = [tokens_from_grid(adaptive_avg_pool(f, h4, w4)) for f in feats]
 
     mixed: list = [None] * 4
-    decoded_grid: dict[int, Tensor] = {}
+    decoded: list = [None] * 4
     logits: dict[int, Tensor] = {}
-    h4, w4 = spec.stage_grid(4)
 
     for stage in range(4, 0, -1):
         c_stage = spec.channels[stage - 1]
-        block = bound.clb[stage - 1]
-        if block.ln1_gamma.shape != (c_stage,):
-            raise ShapeError(
-                f"stage {stage}: block expects {block.ln1_gamma.shape[0]} channels, "
-                f"pyramid provides {c_stage}"
-            )
         try:
-            if params.spec.cross_layer_enabled[stage - 1]:
-                m = build_mixed_kv(feats, decoded_grid, stage)
-            else:
-                m = tokens_from_grid(adaptive_avg_pool(feats[stage - 1], h4, w4))
+            m = build_mixed_kv(pooled) if cross[stage - 1] else pooled[stage - 1]
             h_s, w_s = spec.stage_grid(stage)
             # [0] drops the stage's attention map here; trace.attn rebuilds it
             d_tokens = clb(
@@ -323,7 +315,7 @@ def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] 
                 m,
                 h_s,
                 w_s,
-                block,
+                bound.clb[stage - 1],
                 params.spec.mixer,
                 params.spec.lpm_enabled,
                 params.spec.layernorm_eps,
@@ -337,11 +329,10 @@ def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] 
         except ShapeError as exc:
             raise ShapeError(f"stage {stage}: {exc}") from exc
         mixed[stage - 1] = m
-        decoded_grid[stage] = grid_from_tokens(d_tokens, h_s, w_s)
+        decoded[stage - 1] = grid_from_tokens(d_tokens, h_s, w_s)
+        if any(cross[: stage - 1]):
+            pooled[stage - 1] = tokens_from_grid(adaptive_avg_pool(decoded[stage - 1], h4, w4))
 
-    fuse_in = bound.fuse_mlp.weight.shape[1]
-    if fuse_in != sum(spec.channels):
-        raise ShapeError(f"fuse weight takes {fuse_in} channels, pyramid provides {sum(spec.channels)}")
     h1, w1 = spec.stage_grid(1)
     mask = logits[1]
     for stage in range(2, 5):
@@ -349,7 +340,7 @@ def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] 
 
     return DecodeTrace(
         mixed=mixed,
-        decoded=[decoded_grid[s] for s in range(1, 5)],
+        decoded=decoded,
         mask=mask,
         pyramid=pyramid,
         params=params,

@@ -28,6 +28,7 @@ from stripseg.tensor import (
     ShapeError,
     Tape,
     Tensor,
+    adaptive_avg_pool,
     backward,
     bilinear_resize,
     bind_params,
@@ -126,22 +127,22 @@ def clb_strip_oracle(f, m, h, w, p, eps=1e-6):
 # ---------------------------------------------------------------------------
 
 
+def pooled_tokens(x, h, w):
+    return tokens_from_grid(adaptive_avg_pool(x, h, w))
+
+
 class TestBuildMixedKv:
     def test_stage4_uses_only_pooled_features(self):
         spec = PyramidSpec(height=64, width=64, channels=(8, 16, 32, 64), seed=0)
         pyr = generate_pyramid(spec)
-        feats = [Tensor(f) for f in pyr.features]
-        m = build_mixed_kv(feats, {}, 4)
+        m = build_mixed_kv([pooled_tokens(Tensor(f), 2, 2) for f in pyr.features])
         assert m.shape == (1, 4, 120)
 
     def test_channel_extent_is_sum_at_every_stage(self):
-        spec = PyramidSpec(height=64, width=64, channels=(8, 16, 32, 64), seed=1)
-        pyr = generate_pyramid(spec)
-        feats = [Tensor(f) for f in pyr.features]
-        decoded = {s: Tensor(rand_normal(pyr.stage(s).shape, seed=s)) for s in (2, 3, 4)}
+        cfg = resolve_config({"pyramid": {"channels": [8, 16, 32, 64]}, "seed": 1})
+        trace = decode(build_pyramid(cfg), build_decoder_params(cfg))
         for stage in (1, 2, 3, 4):
-            m = build_mixed_kv(feats, decoded, stage)
-            assert m.shape == (1, 4, 120)
+            assert trace.mixed[stage - 1].shape == (1, 4, 120)
 
     def test_constant_stages_give_constant_tokens(self):
         spec = PyramidSpec(height=64, width=64, channels=(2, 3, 4, 5), seed=2)
@@ -149,17 +150,68 @@ class TestBuildMixedKv:
         feats = [
             Tensor(np.full(spec.stage_shape(s), consts[s - 1])) for s in range(1, 5)
         ]
-        m = build_mixed_kv(feats, {}, 4).data
+        m = build_mixed_kv([pooled_tokens(f, 2, 2) for f in feats]).data
         expect = np.concatenate([np.full(c, v) for c, v in zip(spec.channels, consts)])
         for token in range(m.shape[1]):
             np.testing.assert_allclose(m[0, token], expect, atol=1e-12)
 
-    def test_missing_decoded_stage_is_an_error(self):
-        spec = PyramidSpec(height=64, width=64, channels=(2, 2, 2, 2), seed=3)
-        pyr = generate_pyramid(spec)
-        feats = [Tensor(f) for f in pyr.features]
-        with pytest.raises(ValueError):
-            build_mixed_kv(feats, {}, 2)
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize(
+        "mixer,cross",
+        [
+            ("sca", [True] * 4),
+            ("ca", [True] * 4),
+            ("sa", [True] * 4),
+            ("sca", [False, True, False, True]),
+            ("sca", [True, False, False, False]),
+        ],
+        ids=["sca", "ca", "sa", "sca-FTFT", "sca-TFFF"],
+    )
+    def test_decode_mixed_matches_per_stage_pooling(self, mixer, cross, taped):
+        # each stage's key/value, pooled afresh from the encoder levels at or
+        # below the stage and the decoded levels above it
+        cfg = small_config(decoder={"mixer": mixer, "cross_layer_enabled": cross})
+        pyr = build_pyramid(cfg)
+        trace = decode(pyr, build_decoder_params(cfg), Tape() if taped else None)
+        h4, w4 = cfg.pyramid.stage_grid(4)
+        for stage in range(1, 5):
+            if cross[stage - 1]:
+                levels = [Tensor(f) for f in pyr.features[:stage]] + trace.decoded[stage:]
+                expect = concat_lastdim([pooled_tokens(x, h4, w4) for x in levels])
+            else:
+                expect = pooled_tokens(Tensor(pyr.stage(stage)), h4, w4)
+            assert np.array_equal(trace.mixed[stage - 1].data, expect.data), stage
+
+    @pytest.mark.parametrize(
+        "cross",
+        [
+            [True] * 4,
+            [False, False, False, True],
+            [False, False, True, True],
+            [False, True, True, True],
+            [True, False, False, False],
+            [False] * 4,
+        ],
+        ids=["TTTT", "FFFT", "FFTT", "FTTT", "TFFF", "FFFF"],
+    )
+    def test_each_level_is_pooled_once(self, monkeypatch, cross):
+        calls = []
+
+        def counting(x, h, w):
+            calls.append(x.shape)
+            return adaptive_avg_pool(x, h, w)
+
+        monkeypatch.setattr(decoder_module, "adaptive_avg_pool", counting)
+        cfg = resolve_config({"decoder": {"cross_layer_enabled": cross}})
+        tape = Tape()
+        decode(build_pyramid(cfg), build_decoder_params(cfg), tape)
+        # four encoder levels, plus each decoded stage a lower stage mixes in
+        assert len(calls) == 4 + sum(any(cross[: s - 1]) for s in (2, 3, 4))
+        # pooling every level at every cross-layer stage took 4 calls there
+        assert len(calls) <= sum(4 if c else 1 for c in cross)
+        if all(cross):  # the default decode
+            assert len(calls) == 7
+            assert len(tape.nodes) <= 215
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +385,7 @@ class TestDecode:
         params = build_decoder_params(cfg)
         k, c = params.fuse_mlp.weight.shape
         params.fuse_mlp.weight = np.zeros((k, c + extra))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="fuse weight"):
             decode(build_pyramid(cfg), params)
 
     def test_fuse_gradient_matches_hand_chain_rule(self):

@@ -1,0 +1,46 @@
+"""The traced benchmark still accepts the package.
+
+perfbench's Tracer patches stripseg functions by name in the decoder and
+attention namespaces and reads clb's positional (h, w) to tell the stages
+apart, so a renamed or re-signed function there shows up only when a traced
+run reads zero. One default decode runs through it here, in-process.
+"""
+
+import sys
+from pathlib import Path
+
+from stripseg import analysis, attention, config, decoder, scat, synth, tensor
+from stripseg.config import build_decoder_params, build_pyramid, resolve_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import tracing  # noqa: E402
+
+
+def test_default_decode_fills_every_stage_metric():
+    cfg = resolve_config({})
+    pyramid = build_pyramid(cfg)
+    params = build_decoder_params(cfg)
+    tracer = tracing.Tracer({
+        "analysis": analysis,
+        "attention": attention,
+        "config": config,
+        "decoder": decoder,
+        "scat": scat,
+        "synth": synth,
+        "tensor": tensor,
+    })
+    tracer.stage_of = {cfg.pyramid.stage_grid(stage): stage for stage in range(1, 5)}
+    with tracer.installed(), tensor.count_macs() as mc, tracer.op("op0", mc):
+        tracer.api["decode"](pyramid, params)
+    m = tracing.op_metrics(tracer.spans, "op0")
+
+    assert m["tensor.macs"] == analysis.decode_macs(pyramid, params)
+    names = [f"attention.s{stage}_ms" for stage in range(1, 5)]
+    names += [f"decoder.s{stage}.lpm_ms" for stage in range(1, 5)]
+    names.append("decoder.mixed_kv_ms")
+    for name in names:
+        assert m[name] > 0, name
+    # each key/value level pooled and laid out once per decode
+    assert m["tensor.adaptive_avg_pool_calls"] == 7
+    assert m["tensor.transpose_calls"] <= 43
+    assert m["tensor.calls"] <= 236
