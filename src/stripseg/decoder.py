@@ -221,9 +221,7 @@ def lpm(x: Tensor, h: int, w: int, p: LPMParams) -> Tensor:
     response drives a sigmoid channel gate; the gated detail re-enters
     through a final 1x1 depthwise conv on top of an identity shortcut.
     """
-    b, n, c = x.shape
-    if n != h * w:
-        raise ShapeError(f"lpm tokens {n} do not fill a {h}x{w} grid")
+    c = x.shape[-1]
     xg = grid_from_tokens(x, h, w)
     pre = relu(depthwise_conv(xg, reshape(p.dw1_kernel, (c, 1, 1)), p.dw1_bias))
     xd = depthwise_conv(pre, p.dw3_kernel, p.dw3_bias)

@@ -79,6 +79,11 @@ class Tape:
     Single-owner: record and replay on one logical thread. Backward visits
     nodes in strict reverse recording order and accumulates gradients per
     tensor id; gradient arrays always match the shapes of their tensors.
+
+    A node owns exactly the arrays its backward closure reads: closures
+    capture numpy arrays and plain values, never a Tensor. No node refers
+    back to a Tensor or the tape, so reference counting alone frees a taped
+    computation once its Tensors and the tape are released.
     """
 
     def __init__(self):
@@ -120,10 +125,11 @@ def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
-    """Accumulate gradients of a scalar loss for every tensor reachable from it.
+    """Accumulate gradients of a scalar loss for every leaf it depends on.
 
-    Returns a map from tensor id to gradient Tensor. Leaves or intermediates
-    the loss does not depend on are absent from the map.
+    Returns a map from leaf tensor id to gradient Tensor. An intermediate's
+    gradient is dropped as soon as its node has run, so no intermediate is
+    in the map, and neither is a leaf the loss does not depend on.
     """
     if loss.tape is not tape or loss.tid is None:
         raise ValueError("loss tensor was not recorded on this tape")
@@ -131,7 +137,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {loss.tid: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = grads.get(node.out_id)
+        g = grads.pop(node.out_id, None)
         if g is None:
             continue
         for tid, contrib in zip(node.input_ids, node.backward_fn(g)):
@@ -308,11 +314,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     n = b.shape[-1]
     _tally(int(np.prod(out.shape[:-2], dtype=np.int64)) * m * n * k, out.size)
 
-    a_shape, b_shape = a.shape, b.shape
+    a_data, b_data = a.data, b.data
 
     def backward_fn(g):
-        ga = _unbroadcast(np.matmul(g, _swap_last(b.data)), a_shape)
-        gb = _unbroadcast(np.matmul(_swap_last(a.data), g), b_shape)
+        ga = _unbroadcast(np.matmul(g, _swap_last(b_data)), a_data.shape)
+        gb = _unbroadcast(np.matmul(_swap_last(a_data), g), b_data.shape)
         return ga, gb
 
     return _emit(out, (a, b), backward_fn)
@@ -331,16 +337,16 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
         out = out + p.bias.data
     _tally((x.size // in_dim) * out_dim * in_dim, out.size)
 
-    x_shape = x.shape
+    x_data, w_data = x.data, w.data
     has_bias = p.bias is not None
 
     def backward_fn(g):
-        gx = np.matmul(g, w.data)
+        gx = np.matmul(g, w_data)
         g2 = g.reshape(-1, out_dim)
-        gw = np.matmul(g2.T, x.data.reshape(-1, in_dim))
+        gw = np.matmul(g2.T, x_data.reshape(-1, in_dim))
         if has_bias:
-            return gx.reshape(x_shape), gw, g2.sum(axis=0)
-        return gx.reshape(x_shape), gw
+            return gx.reshape(x_data.shape), gw, g2.sum(axis=0)
+        return gx.reshape(x_data.shape), gw
 
     inputs = (x, w, p.bias) if has_bias else (x, w)
     return _emit(out, inputs, backward_fn)
@@ -386,13 +392,14 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    out = gamma.data * xhat + beta.data
+    gamma_data = gamma.data
+    out = gamma_data * xhat + beta.data
 
     def backward_fn(g):
         lead = tuple(range(g.ndim - 1))
         g_gamma = (g * xhat).sum(axis=lead)
         g_beta = g.sum(axis=lead)
-        dxhat = g * gamma.data
+        dxhat = g * gamma_data
         gx = inv_std * (
             dxhat
             - dxhat.mean(axis=-1, keepdims=True)
@@ -427,6 +434,8 @@ def depthwise_conv(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> 
     if bias is not None:
         out = out + bias.data[None, :, None, None]
     _tally(b * c * h * w * kh * kw, out.size)
+    k_data = kernel.data
+    has_bias = bias is not None
 
     def backward_fn(g):
         gxp = np.zeros_like(xp)
@@ -434,15 +443,15 @@ def depthwise_conv(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> 
         for dy in range(kh):
             for dx in range(kw):
                 gxp[:, :, dy : dy + h, dx : dx + w] += (
-                    kernel.data[:, dy, dx][None, :, None, None] * g
+                    k_data[:, dy, dx][None, :, None, None] * g
                 )
                 gk[:, dy, dx] = (g * xp[:, :, dy : dy + h, dx : dx + w]).sum(axis=(0, 2, 3))
         gx = gxp[:, :, ph : ph + h, pw : pw + w]
-        if bias is not None:
+        if has_bias:
             return gx, gk, g.sum(axis=(0, 2, 3))
         return gx, gk
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    inputs = (x, kernel, bias) if has_bias else (x, kernel)
     return _emit(out, inputs, backward_fn)
 
 
@@ -520,19 +529,20 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
 
     def backward_fn(g):
-        return (g * (x.data > 0),)
+        return (g * (out > 0),)
 
     return _emit(out, (x,), backward_fn)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error-function GELU."""
-    cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
-    out = x.data * cdf
+    x_data = x.data
+    cdf = 0.5 * (1.0 + erf(x_data / math.sqrt(2.0)))
+    out = x_data * cdf
 
     def backward_fn(g):
-        pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
-        return (g * (cdf + x.data * pdf),)
+        pdf = np.exp(-0.5 * x_data * x_data) / math.sqrt(2.0 * math.pi)
+        return (g * (cdf + x_data * pdf),)
 
     return _emit(out, (x,), backward_fn)
 
@@ -561,11 +571,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul operands differ: {a.shape} vs {b.shape}")
-    out = a.data * b.data
+    a_data, b_data = a.data, b.data
+    out = a_data * b_data
     _tally(out.size, out.size)
 
     def backward_fn(g):
-        return g * b.data, g * a.data
+        return g * b_data, g * a_data
 
     return _emit(out, (a, b), backward_fn)
 
@@ -586,11 +597,12 @@ def scale_channels(x: Tensor, gate: Tensor) -> Tensor:
     """Multiply a [B, C, H, W] tensor by a per-(batch, channel) gate [B, C]."""
     if x.data.ndim != 4 or gate.shape != x.shape[:2]:
         raise ShapeError(f"scale_channels: gate {gate.shape} must match leading dims of {x.shape}")
-    out = x.data * gate.data[:, :, None, None]
+    x_data, gate4 = x.data, gate.data[:, :, None, None]
+    out = x_data * gate4
     _tally(out.size, out.size)
 
     def backward_fn(g):
-        return g * gate.data[:, :, None, None], (g * x.data).sum(axis=(2, 3))
+        return g * gate4, (g * x_data).sum(axis=(2, 3))
 
     return _emit(out, (x, gate), backward_fn)
 

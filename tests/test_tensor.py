@@ -398,6 +398,13 @@ class TestBackward:
         assert grads[a.tid].shape == (2, 3)
         assert grads[b.tid].shape == (3, 5)
 
+    def test_returns_leaf_gradients_only(self):
+        tape = Tape()
+        a = tape.leaf(rand_uniform((2, 3), seed=21))
+        b = tape.leaf(rand_uniform((3, 5), seed=22))
+        grads = backward(tape, sum_all(matmul(a, b)))
+        assert set(grads) == {a.tid, b.tid}
+
     def test_visits_nodes_in_reverse_order(self):
         tape = Tape()
         x = tape.leaf(rand_uniform((3,), seed=23))

@@ -3,7 +3,8 @@
 perfbench's Tracer patches stripseg functions by name in the decoder and
 attention namespaces and reads clb's positional (h, w) to tell the stages
 apart, so a renamed or re-signed function there shows up only when a traced
-run reads zero. One default decode runs through it here, in-process.
+run reads zero. The benchmark's forward op (a default decode) and its train
+op (a taped default decode plus backward) run through it here, in-process.
 """
 
 import sys
@@ -16,10 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracing  # noqa: E402
 
 
-def test_default_decode_fills_every_stage_metric():
-    cfg = resolve_config({})
-    pyramid = build_pyramid(cfg)
-    params = build_decoder_params(cfg)
+def default_tracer(cfg):
     tracer = tracing.Tracer({
         "analysis": analysis,
         "attention": attention,
@@ -30,6 +28,14 @@ def test_default_decode_fills_every_stage_metric():
         "tensor": tensor,
     })
     tracer.stage_of = {cfg.pyramid.stage_grid(stage): stage for stage in range(1, 5)}
+    return tracer
+
+
+def test_default_decode_fills_every_stage_metric():
+    cfg = resolve_config({})
+    pyramid = build_pyramid(cfg)
+    params = build_decoder_params(cfg)
+    tracer = default_tracer(cfg)
     with tracer.installed(), tensor.count_macs() as mc, tracer.op("op0", mc):
         tracer.api["decode"](pyramid, params)
     m = tracing.op_metrics(tracer.spans, "op0")
@@ -44,3 +50,20 @@ def test_default_decode_fills_every_stage_metric():
     assert m["tensor.adaptive_avg_pool_calls"] == 7
     assert m["tensor.transpose_calls"] <= 43
     assert m["tensor.calls"] <= 236
+
+
+def test_taped_decode_and_backward_fill_the_train_metrics():
+    cfg = resolve_config({})
+    pyramid = build_pyramid(cfg)
+    params = build_decoder_params(cfg)
+    tracer = default_tracer(cfg)
+    tape = tensor.Tape()
+    with tracer.installed(), tensor.count_macs() as mc, tracer.op("op0", mc):
+        trace = tracer.api["decode"](pyramid, params, tape)
+        grads = tracer.api["backward"](tape, tensor.sum_all(trace.mask))
+    m = tracing.op_metrics(tracer.spans, "op0")
+
+    assert m["tensor.macs"] == analysis.decode_macs(pyramid, params)
+    assert m["op.write_or_backward_ms"] > 0
+    missing = [name for name, leaf in trace.param_leaves.items() if leaf.tid not in grads]
+    assert not missing
