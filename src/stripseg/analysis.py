@@ -101,7 +101,8 @@ def _build_case(mixer_kind: str, cfg: AttnConfig, seed: int):
 
 
 def _run_mixer(mixer_kind: str, xq: Tensor, xkv: Tensor, bound_params):
-    return cross_attention(xq, xq if mixer_kind == "sa" else xkv, bound_params)
+    # no map, as decode runs its mixers
+    return cross_attention(xq, xq if mixer_kind == "sa" else xkv, bound_params, with_map=False)
 
 
 def count_flops(mixer_kind: str, cfg: AttnConfig, seed: int = 0) -> FlopReport:

@@ -12,11 +12,15 @@ channels [h*qk, (h+1)*qk) belong to head h, so with qk width 1 channel h is
 head h's strip logit; value channels [h*dim_head, (h+1)*dim_head) belong to
 head h.
 
-Each call returns its softmax map beside its output, for inspection. Inside
-the kernel at most two map-sized buffers are alive at once: the logits are
-released once they are scaled, and the scaled logits once the softmax has
-run. Holding the returned map is the caller's choice; decode drops it, and
-DecodeTrace.attn rebuilds it on request.
+A call returns its softmax map beside its output only on request
+(with_map=True, the default). A call that asks for no map, with qk width 1
+and no tape, runs tensor.strip_attention, which mixes the values one block
+of query rows at a time and never holds the whole map; decode asks for none,
+and DecodeTrace.attn builds the maps when they are read. Every other call
+runs the unfused chain matmul -> scalar_mul -> softmax_lastdim -> matmul,
+which is the fused kernel's reference; in it at most two map-sized buffers
+are alive at once: the logits are released once they are scaled, and the
+scaled logits once the softmax has run.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .tensor import (
     reshape,
     scalar_mul,
     softmax_lastdim,
+    strip_attention,
     transpose,
 )
 
@@ -65,8 +70,10 @@ class AttnParams:
 
 @dataclass
 class AttnOutput:
+    """A mixer's output; attn is its softmax map, or None if none was built."""
+
     out: Tensor
-    attn: Tensor
+    attn: Optional[Tensor]
 
 
 def _init_linear(stream: RandomStream, out_dim: int, in_dim: int, std: float) -> LinearParams:
@@ -118,15 +125,19 @@ def _merge_heads(x: Tensor) -> Tensor:
     return reshape(transpose(x, (0, 2, 1, 3)), (b, n, h * d))
 
 
-def self_attention(x: Tensor, p: AttnParams) -> AttnOutput:
+def self_attention(x: Tensor, p: AttnParams, with_map: bool = True) -> AttnOutput:
     """Multi-head scaled dot-product attention with shared q/k/v source."""
-    return cross_attention(x, x, p)
+    return cross_attention(x, x, p, with_map)
 
 
-def cross_attention(xq: Tensor, xkv: Tensor, p: AttnParams) -> AttnOutput:
+def cross_attention(xq: Tensor, xkv: Tensor, p: AttnParams, with_map: bool = True) -> AttnOutput:
     """As self-attention, but queries come from xq and keys/values from xkv.
 
-    With qk width 1 (wq rows == heads) this is strip cross-attention.
+    With qk width 1 (wq rows == heads) this is strip cross-attention. With
+    with_map=False the caller reads no map, and an untaped strip call
+    returns attn=None from the fused kernel; the output is the same up to
+    the rounding of the value mix, bit for bit where one block of rows
+    covers every query.
     """
     if xq.data.ndim != 3 or xkv.data.ndim != 3:
         raise ShapeError(f"attention inputs must be [B,N,C], got {xq.shape} and {xkv.shape}")
@@ -138,15 +149,18 @@ def cross_attention(xq: Tensor, xkv: Tensor, p: AttnParams) -> AttnOutput:
         k_t = transpose(reshape(linear(xkv, p.wk), (b, n_kv, p.heads, qk)), (0, 2, 3, 1))
     with mac_region("v_proj"):
         v = _split_heads(linear(xkv, p.wv), p.heads, p.dim_head)
-    with mac_region("attn_scores"):
-        scores = matmul(q, k_t)
-    # at most two map-sized buffers alive at once; a tape keeps only attn
-    scaled = scalar_mul(scores, p.scale)
-    del scores
-    attn = softmax_lastdim(scaled)
-    del scaled
-    with mac_region("attn_mix"):
-        mixed = matmul(attn, v)
+    if not with_map and qk == 1 and all(t.tape is None for t in (q, k_t, v)):
+        mixed, attn = strip_attention(q, k_t, v, p.scale), None
+    else:
+        with mac_region("attn_scores"):
+            scores = matmul(q, k_t)
+        # at most two map-sized buffers alive at once; a tape keeps only attn
+        scaled = scalar_mul(scores, p.scale)
+        del scores
+        attn = softmax_lastdim(scaled)
+        del scaled
+        with mac_region("attn_mix"):
+            mixed = matmul(attn, v)
     with mac_region("out_proj"):
         out = linear(_merge_heads(mixed), p.wo)
     return AttnOutput(out=out, attn=attn)

@@ -156,13 +156,14 @@ class DecodeTrace:
     """Everything a decode run produced; lists are indexed by stage - 1.
 
     The mixed key/value tokens, the decoded features and the mask are held.
-    The attention maps are not: decode drops each stage's map once the
-    stage's block returns, and `attn` rebuilds all four on its first read
-    and caches them. The rebuild reruns mixer_branch on the pyramid's lateral
-    features and the held mixed tokens, with the parameters bound without a
-    tape, so the maps are bit-equal to the dropped ones and add no node to a
-    decode's tape. The rebuild reads the pyramid and parameter arrays as they
-    are at that first read, so change neither in place before it.
+    The attention maps are not: decode asks its mixers for none, so an
+    untaped strip decode never builds one, and `attn` builds all four on its
+    first read and caches them. It reruns mixer_branch, asking for the map,
+    on the pyramid's lateral features and the held mixed tokens, with the
+    parameters bound without a tape, so the maps are those of the unfused
+    chain, which a taped decode runs, and add no node to a decode's tape.
+    The build reads the pyramid and parameter arrays as they are at that
+    first read, so change neither in place before it.
     """
 
     mixed: list
@@ -231,17 +232,20 @@ def lpm(x: Tensor, h: int, w: int, p: LPMParams) -> Tensor:
     return tokens_from_grid(out)
 
 
-def mixer_branch(f: Tensor, m: Tensor, p: CLBParams, mixer_kind: str, eps: float) -> AttnOutput:
+def mixer_branch(
+    f: Tensor, m: Tensor, p: CLBParams, mixer_kind: str, eps: float, with_map: bool = True
+) -> AttnOutput:
     """A block's token mixer on layer-normalized inputs, before its residual:
-    queries from f, keys/values from m (from f for "sa")."""
+    queries from f, keys/values from m (from f for "sa"). with_map is the
+    mixer's: False lets an untaped strip mixer skip building its map."""
     if mixer_kind not in MIXER_KINDS:
         raise ValueError(f"unknown mixer kind {mixer_kind!r}")
     q_in = layernorm(f, p.ln1_gamma, p.ln1_beta, eps)
     if mixer_kind == "sa":
-        return self_attention(q_in, p.mixer)
+        return self_attention(q_in, p.mixer, with_map=with_map)
     kv_in = layernorm(m, p.ln_kv_gamma, p.ln_kv_beta, eps)
     mixer = strip_cross_attention if mixer_kind == "sca" else cross_attention
-    return mixer(q_in, kv_in, p.mixer)
+    return mixer(q_in, kv_in, p.mixer, with_map=with_map)
 
 
 def clb(
@@ -253,9 +257,9 @@ def clb(
     mixer_kind: str,
     lpm_enabled: bool,
     eps: float = 1e-6,
-) -> tuple[Tensor, Tensor]:
-    """One decoder block; returns (refined tokens, attention map)."""
-    att = mixer_branch(f, m, p, mixer_kind, eps)
+) -> Tensor:
+    """One decoder block; returns the refined tokens. Its mixer builds no map."""
+    att = mixer_branch(f, m, p, mixer_kind, eps, with_map=False)
     z_g = add(att.out, f)
     if lpm_enabled:
         z_gl = add(lpm(layernorm(z_g, p.ln2_gamma, p.ln2_beta, eps), h, w, p.lpm), z_g)
@@ -263,7 +267,7 @@ def clb(
         z_gl = z_g
     hidden = gelu(linear(layernorm(z_gl, p.ln3_gamma, p.ln3_beta, eps), p.mlp_fc1))
     d = add(linear(hidden, p.mlp_fc2), z_gl)
-    return d, att.attn
+    return d
 
 
 def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] = None) -> DecodeTrace:
@@ -307,7 +311,6 @@ def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] 
         try:
             m = build_mixed_kv(pooled) if cross[stage - 1] else pooled[stage - 1]
             h_s, w_s = spec.stage_grid(stage)
-            # [0] drops the stage's attention map here; trace.attn rebuilds it
             d_tokens = clb(
                 tokens_from_grid(feats[stage - 1]),
                 m,
@@ -317,7 +320,7 @@ def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] 
                 params.spec.mixer,
                 params.spec.lpm_enabled,
                 params.spec.layernorm_eps,
-            )[0]
+            )
             lo = sum(spec.channels[: stage - 1])
             head = LinearParams(
                 slice_lastdim(bound.fuse_mlp.weight, lo, lo + c_stage),

@@ -30,7 +30,8 @@ ORACLE_CASES = tuple(
 
 
 def oracle_errors(seed: int, heads: int, n_q: int, n_kv: int) -> dict[str, float]:
-    """Max |kernel - oracle_attention| per mixer kind, C_q 5, C_kv 7, dim_head 3.
+    """Max |kernel - oracle_attention| per mixer kind, C_q 5, C_kv 7, dim_head 3,
+    over the map-returning call and the map-free one that decode makes.
 
     Parameters are drawn from one stream after the inputs, in the order
     sca, ca, sa; "sa" attends over the queries.
@@ -42,8 +43,12 @@ def oracle_errors(seed: int, heads: int, n_q: int, n_kv: int) -> dict[str, float
     for kind in ("sca", "ca", "sa"):
         p = init_mixer_params(kind, 5, 7, heads, 3, stream)
         src = xq if kind == "sa" else xkv
-        fast = cross_attention(Tensor(xq), Tensor(src), bind_params(p, None)[0]).out.data
-        errors[kind] = float(np.abs(fast - oracle_attention(xq, src, p)).max())
+        bound = bind_params(p, None)[0]
+        oracle = oracle_attention(xq, src, p)
+        errors[kind] = max(
+            float(np.abs(cross_attention(Tensor(xq), Tensor(src), bound, with_map).out.data - oracle).max())
+            for with_map in (True, False)
+        )
     return errors
 
 

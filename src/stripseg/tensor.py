@@ -380,6 +380,59 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return _emit(out, (x,), backward_fn)
 
 
+def strip_attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float) -> Tensor:
+    """softmax(scale * q @ k_t) @ v for qk width 1, without the whole map.
+
+    q is [B, H, N_q, 1], k_t [B, H, 1, N_kv] and v [B, H, N_kv, d]; the
+    result is [B, H, N_q, d]. The chain matmul -> scalar_mul ->
+    softmax_lastdim -> matmul is the reference: per row this runs the same
+    operations in the same order, on one block of query rows of every
+    (batch, head) slice at a time in one reused buffer, and tallies the MACs
+    and output sizes the four chained kernels tally, in attention's regions.
+    Forward only: a tape needs the map, so taped callers use the chain.
+    """
+    if q.data.ndim != 4 or k_t.data.ndim != 4 or v.data.ndim != 4:
+        raise ShapeError(f"strip_attention needs 4-d operands, got {q.shape}, {k_t.shape}, {v.shape}")
+    b, h, n_q, qk = q.shape
+    n_kv, d = k_t.shape[-1], v.shape[-1]
+    if qk != 1 or n_kv < 1 or k_t.shape != (b, h, 1, n_kv) or v.shape != (b, h, n_kv, d):
+        raise ShapeError(
+            f"strip_attention needs [B,H,N_q,1] x [B,H,1,N_kv>=1] x [B,H,N_kv,d], "
+            f"got {q.shape}, {k_t.shape}, {v.shape}"
+        )
+    if _common_tape((q, k_t, v)) is not None:
+        raise ValueError("strip_attention has no backward; use the unfused chain on a tape")
+    map_elems = b * h * n_q * n_kv
+    with mac_region("attn_scores"):
+        _tally(map_elems, map_elems)
+    _tally(map_elems, map_elems)  # the logit scale, in the caller's region
+
+    # x -> fl(fl(q*x)*s) is monotone, so a row's max is its value at the
+    # largest or the smallest key, bit for bit what a max over the row gives
+    qd, kd = q.data, k_t.data
+    hi = qd * kd.max(axis=-1, keepdims=True)
+    lo = qd * kd.min(axis=-1, keepdims=True)
+    if scale != 1.0:
+        hi *= scale
+        lo *= scale
+    row_max = np.maximum(hi, lo)
+    out = np.empty((b, h, n_q, d))
+    step = max(1, SOFTMAX_BLOCK // n_kv)
+    buf = np.empty((b, h, min(step, n_q), n_kv))
+    for r in range(0, n_q, step):
+        blk = buf[:, :, : min(step, n_q - r)]
+        np.multiply(qd[:, :, r : r + step], kd, out=blk)
+        if scale != 1.0:
+            blk *= scale
+        blk -= row_max[:, :, r : r + step]
+        np.exp(blk, out=blk)
+        blk /= blk.sum(axis=-1, keepdims=True)
+        np.matmul(blk, v.data, out=out[:, :, r : r + step])
+    with mac_region("attn_mix"):
+        _tally(b * h * n_q * d * n_kv, out.size)
+    return Tensor(out)
+
+
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize the trailing channel axis to zero mean / unit variance, then affine."""
     c = x.shape[-1]

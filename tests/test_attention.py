@@ -1,5 +1,7 @@
 """Token-mixer contracts: examples, oracle equivalence, invariants, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import op_gradcheck
@@ -11,8 +13,20 @@ from stripseg.attention import (
     self_attention,
     strip_cross_attention,
 )
+import stripseg.tensor as tensor_module
 from stripseg.synth import normal_array, substream
-from stripseg.tensor import Tensor, bind_params, linear
+from stripseg.tensor import (
+    ShapeError,
+    Tape,
+    Tensor,
+    bind_params,
+    count_macs,
+    linear,
+    matmul,
+    scalar_mul,
+    softmax_lastdim,
+    strip_attention,
+)
 
 ORACLE_TOL = 1e-10
 
@@ -93,6 +107,121 @@ class TestStripCrossAttention:
         xq, xkv, p = make_case(8, 4, 6, 5, 8, 2, 3)
         res = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(p, None)[0])
         assert np.abs(res.out.data - oracle_attention(xq, xkv, p)).max() < ORACLE_TOL
+
+
+def fused_case(seed, n_q, n_kv, heads, scale, batch=2, c_q=5, c_kv=7, dim_head=3):
+    # std 0.5 spreads the strip logits over a few units, so the rows are
+    # far from uniform
+    stream = substream(seed, 23)
+    xq = normal_array(stream, (batch, n_q, c_q))
+    xkv = normal_array(stream, (batch, n_kv, c_kv))
+    p = init_mixer_params("sca", c_q, c_kv, heads, dim_head, stream, std=0.5, scale=scale)
+    return xq, xkv, p
+
+
+def unfused_chain(q, k_t, v, scale):
+    return matmul(softmax_lastdim(scalar_mul(matmul(q, k_t), scale)), v)
+
+
+class TestFusedStripAttention:
+    """tensor.strip_attention, which an untaped strip mixer asked for no map runs."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    def test_matches_oracle(self, scale):
+        xq, xkv, p = fused_case(60, 9, 6, 3, scale)
+        q = run_linear(xq, p.wq)
+        assert (q > 0).any() and (q < 0).any()
+        res = cross_attention(Tensor(xq), Tensor(xkv), bind_params(p, None)[0], with_map=False)
+        assert res.attn is None
+        np.testing.assert_allclose(res.out.data, oracle_attention(xq, xkv, p), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [10, 3], ids=["2-rows", "1-row"])
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    def test_several_blocks_and_a_ragged_last_one(self, monkeypatch, block, scale):
+        # 7 queries over 5 keys: blocks of 2 rows (the last one holds 1) or 1
+        monkeypatch.setattr(tensor_module, "SOFTMAX_BLOCK", block)
+        xq, xkv, p = fused_case(61, 7, 5, 3, scale)
+        bound = bind_params(p, None)[0]
+        fused = cross_attention(Tensor(xq), Tensor(xkv), bound, with_map=False)
+        chain = cross_attention(Tensor(xq), Tensor(xkv), bound)
+        assert fused.attn is None
+        np.testing.assert_allclose(fused.out.data, chain.out.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused.out.data, oracle_attention(xq, xkv, p), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    def test_one_block_is_bit_equal_to_the_chain(self, scale):
+        xq, xkv, p = fused_case(62, 64, 16, 3, scale)
+        bound = bind_params(p, None)[0]
+        fused = cross_attention(Tensor(xq), Tensor(xkv), bound, with_map=False)
+        chain = cross_attention(Tensor(xq), Tensor(xkv), bound)
+        assert np.array_equal(fused.out.data, chain.out.data)
+
+    def test_logits_near_700_stay_finite(self):
+        # strip logits q_n * k_m reach about +-700 with either sign of q, where
+        # an exp without the row max overflows
+        q = np.array([26.5, -26.5, 1.0, -0.5, 0.0, 26.4])[None, None, :, None] * np.ones((2, 1, 1, 1))
+        k_t = np.linspace(-26.4, 26.4, 9)[None, None, None, :] * np.ones((2, 1, 1, 1))
+        v = normal_array(substream(66, 23), (2, 1, 9, 4))
+        for scale in (1.0, 0.999):
+            args = (Tensor(q), Tensor(k_t), Tensor(v))
+            fused = strip_attention(*args, scale).data
+            assert np.isfinite(fused).all()
+            np.testing.assert_allclose(fused, unfused_chain(*args, scale).data, rtol=0, atol=1e-12)
+
+    def test_tallies_equal_the_chain(self):
+        xq, xkv, p = fused_case(63, 12, 7, 3, 0.37)
+        bound = bind_params(p, None)[0]
+        counters = []
+        for with_map in (True, False):
+            with count_macs() as mc:
+                cross_attention(Tensor(xq), Tensor(xkv), bound, with_map=with_map)
+            counters.append(mc)
+        chain, fused = counters
+        assert fused.by_region == chain.by_region
+        assert fused.peak_elems == chain.peak_elems
+        assert fused.peak_by_region == chain.peak_by_region
+
+    def test_a_tape_keeps_the_chain(self):
+        xq, xkv, p = fused_case(64, 4, 3, 2, 1.0)
+        tape = Tape()
+        bound = bind_params(p, tape)[0]
+        res = cross_attention(Tensor(xq), Tensor(xkv), bound, with_map=False)
+        assert res.attn is not None and res.out.tape is tape
+        q, k_t, v = (tape.leaf(np.ones(s)) for s in ((1, 1, 2, 1), (1, 1, 1, 3), (1, 1, 3, 2)))
+        with pytest.raises(ValueError, match="no backward"):
+            strip_attention(q, k_t, v, 1.0)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((1, 1, 2, 2), (1, 1, 2, 3), (1, 1, 3, 2)), ((1, 1, 2, 1), (1, 2, 1, 3), (1, 1, 3, 2)),
+         ((1, 1, 2, 1), (1, 1, 1, 3), (1, 1, 4, 2)), ((1, 1, 2, 1), (1, 1, 1, 0), (1, 1, 0, 2))],
+        ids=["full-width", "heads", "values", "no-keys"],
+    )
+    def test_rejects_operands_it_cannot_mix(self, shapes):
+        with pytest.raises(ShapeError):
+            strip_attention(*(Tensor(np.zeros(s)) for s in shapes), 1.0)
+
+    def test_peak_memory_holds_no_map(self):
+        # 4096 queries over 512 keys: one map is 16 MiB; the map-returning
+        # call holds two at once, the fused kernel one block of rows
+        xq, xkv, p = fused_case(65, 4096, 512, 1, 1.0, batch=1, c_q=32, c_kv=32, dim_head=32)
+        bound = bind_params(p, None)[0]
+        args = (Tensor(xq), Tensor(xkv), bound)
+        peaks = {}
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            for with_map in (False, True):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                cross_attention(*args, with_map=with_map)
+                peaks[with_map] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peaks[False] < 8 * 2**20, f"map-free call peaked at {peaks[False] / 2**20:.2f} MiB"
+        assert peaks[True] > 32 * 2**20
 
 
 def _equivalence_cases():
