@@ -2,8 +2,9 @@
 
 Every kernel is a pure function: it computes its result eagerly with numpy
 and, when any input lives on a Tape, records a node whose backward closure
-produces analytic input gradients. Reduction orders inside each kernel are
-fixed, so repeated runs are bitwise identical.
+produces analytic input gradients. The one exception, strip_attention, is
+forward-only and refuses taped operands. Reduction orders inside each kernel
+are fixed, so repeated runs are bitwise identical.
 
 Multiply-accumulate instrumentation: kernels that perform dense arithmetic
 (matmul, linear, depthwise_conv, elementwise multiplies) report MAC counts

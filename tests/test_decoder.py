@@ -494,9 +494,8 @@ class TestLazyAttentionMaps:
         # a taped decode runs the unfused chain; one block of query rows
         # covers every query at these sizes, so the fused kernel agrees bit
         # for bit
-        cfg = small_config(decoder={"mixer": mixer}) if size == "small" else resolve_config(
-            {"decoder": {"mixer": mixer}}
-        )
+        doc = {"decoder": {"mixer": mixer}}
+        cfg = small_config(**doc) if size == "small" else resolve_config(doc)
         pyr = build_pyramid(cfg)
         params = build_decoder_params(cfg)
         fused = decode(pyr, params)
