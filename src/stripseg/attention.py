@@ -15,7 +15,8 @@ head h.
 A call returns its softmax map beside its output only on request
 (with_map=True, the default). A call that asks for no map, with qk width 1
 and no tape, runs tensor.strip_attention, which mixes the values one block
-of query rows at a time and never holds the whole map; decode asks for none,
+of query rows at a time, softmaxed by softmax_lastdim's own row step, and
+never holds the whole map; decode asks for none,
 and DecodeTrace.attn builds the maps when they are read. Every other call
 runs the unfused chain matmul -> scalar_mul -> softmax_lastdim -> matmul,
 which is the fused kernel's reference; in it at most two map-sized buffers

@@ -301,14 +301,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     try:
-        # With inner extent 1 each output is one rounded product, so the
-        # broadcast outer product has np.matmul's values. Only an exact zero
-        # can differ, in sign (BLAS adds products to +0.0); softmax and the
-        # sums that consume these outputs do not tell the two zeros apart.
-        if a.shape[-1] == 1:
-            out = np.multiply(a.data, b.data)
-        else:
-            out = np.matmul(a.data, b.data)
+        out = np.matmul(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"matmul batch extents incompatible: {a.shape} x {b.shape}") from exc
     m, k = a.shape[-2], a.shape[-1]
@@ -357,6 +350,13 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
 SOFTMAX_BLOCK = 1 << 15
 
 
+def _softmax_rows(src: np.ndarray, out: np.ndarray) -> None:
+    """Softmax of each row of src into out, which may be src itself."""
+    np.subtract(src, src.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+
+
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Softmax over the last axis, stabilized by max subtraction."""
     if x.data.ndim == 0 or x.shape[-1] < 1:
@@ -370,10 +370,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     rows_out = out.reshape(-1, n)
     step = max(1, SOFTMAX_BLOCK // n)
     for r in range(0, rows_in.shape[0], step):
-        src, blk = rows_in[r : r + step], rows_out[r : r + step]
-        np.subtract(src, src.max(axis=-1, keepdims=True), out=blk)
-        np.exp(blk, out=blk)
-        blk /= blk.sum(axis=-1, keepdims=True)
+        _softmax_rows(rows_in[r : r + step], rows_out[r : r + step])
 
     def backward_fn(g):
         return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
@@ -387,10 +384,11 @@ def strip_attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float) -> Tensor:
     q is [B, H, N_q, 1], k_t [B, H, 1, N_kv] and v [B, H, N_kv, d]; the
     result is [B, H, N_q, d]. The chain matmul -> scalar_mul ->
     softmax_lastdim -> matmul is the reference: per row this runs the same
-    operations in the same order, on one block of query rows of every
-    (batch, head) slice at a time in one reused buffer, and tallies the MACs
-    and output sizes the four chained kernels tally, in attention's regions.
-    Forward only: a tape needs the map, so taped callers use the chain.
+    operations in the same order, softmax_lastdim's row step included, on
+    one block of query rows of every (batch, head) slice at a time in one
+    reused buffer, and tallies the MACs and output sizes the four chained
+    kernels tally, in attention's regions. Forward only: a tape needs the
+    map, so taped callers use the chain.
     """
     if q.data.ndim != 4 or k_t.data.ndim != 4 or v.data.ndim != 4:
         raise ShapeError(f"strip_attention needs 4-d operands, got {q.shape}, {k_t.shape}, {v.shape}")
@@ -408,26 +406,18 @@ def strip_attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float) -> Tensor:
         _tally(map_elems, map_elems)
     _tally(map_elems, map_elems)  # the logit scale, in the caller's region
 
-    # x -> fl(fl(q*x)*s) is monotone, so a row's max is its value at the
-    # largest or the smallest key, bit for bit what a max over the row gives
-    qd, kd = q.data, k_t.data
-    hi = qd * kd.max(axis=-1, keepdims=True)
-    lo = qd * kd.min(axis=-1, keepdims=True)
-    if scale != 1.0:
-        hi *= scale
-        lo *= scale
-    row_max = np.maximum(hi, lo)
     out = np.empty((b, h, n_q, d))
     step = max(1, SOFTMAX_BLOCK // n_kv)
     buf = np.empty((b, h, min(step, n_q), n_kv))
     for r in range(0, n_q, step):
         blk = buf[:, :, : min(step, n_q - r)]
-        np.multiply(qd[:, :, r : r + step], kd, out=blk)
+        # Each logit is one rounded product, as in the chain's K=1 matmul;
+        # only an exact zero can differ, in sign (BLAS adds products to
+        # +0.0), and the softmax does not tell the two zeros apart.
+        np.multiply(q.data[:, :, r : r + step], k_t.data, out=blk)
         if scale != 1.0:
             blk *= scale
-        blk -= row_max[:, :, r : r + step]
-        np.exp(blk, out=blk)
-        blk /= blk.sum(axis=-1, keepdims=True)
+        _softmax_rows(blk, blk)
         np.matmul(blk, v.data, out=out[:, :, r : r + step])
     with mac_region("attn_mix"):
         _tally(b * h * n_q * d * n_kv, out.size)
@@ -636,13 +626,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scalar_mul(x: Tensor, c: float) -> Tensor:
-    # x * 1.0 == x bit for bit, so a unit scale (the strip logits' default)
-    # shares the read-only buffer instead of copying it
-    out = x.data if c == 1.0 else x.data * c
+    out = x.data * c
     _tally(out.size, out.size)
 
     def backward_fn(g):
-        return (g if c == 1.0 else g * c,)
+        return (g * c,)
 
     return _emit(out, (x,), backward_fn)
 

@@ -203,7 +203,8 @@ class TestFusedStripAttention:
 
     def test_peak_memory_holds_no_map(self):
         # 4096 queries over 512 keys: one map is 16 MiB; the map-returning
-        # call holds two at once, the fused kernel one block of rows
+        # call holds two at once (never a third, even at scale 1.0, where
+        # the scaled logits are a copy), the fused kernel one block of rows
         xq, xkv, p = fused_case(65, 4096, 512, 1, 1.0, batch=1, c_q=32, c_kv=32, dim_head=32)
         bound = bind_params(p, None)[0]
         args = (Tensor(xq), Tensor(xkv), bound)
@@ -221,7 +222,7 @@ class TestFusedStripAttention:
             if not tracing:
                 tracemalloc.stop()
         assert peaks[False] < 8 * 2**20, f"map-free call peaked at {peaks[False] / 2**20:.2f} MiB"
-        assert peaks[True] > 32 * 2**20
+        assert 32 * 2**20 < peaks[True] < 40 * 2**20, f"map call peaked at {peaks[True] / 2**20:.2f} MiB"
 
 
 def _equivalence_cases():
