@@ -4,7 +4,9 @@ The generator is a pure function of its spec: splitmix64 streams feed a
 Box-Muller transform, so pyramids are bitwise reproducible across runs.
 splitmix64 is counter-based (output i mixes state + i*golden), so
 normal_array draws whole blocks in numpy uint64 arithmetic; it is a blocked,
-bit-identical form of calling standard_normal once per element.
+bit-identical form of calling standard_normal once per element. Its log and
+cos are tensor.libm_exact's: numpy's scalar loop on a reversed view where a
+one-time probe finds it equal to libm, and math per element where not.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
+
+from .tensor import libm_exact
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -103,9 +107,12 @@ def normal_array(stream: RandomStream, shape: tuple[int, ...]) -> np.ndarray:
     would.
 
     Each block of _NORMAL_BLOCK draws mixes its 2*block splitmix64 states in
-    numpy uint64 arithmetic. log and cos come from libm (math), because numpy's
-    own differ in the last bit; sqrt and the products are correctly rounded
-    either way and keep the scalar operand order.
+    numpy uint64 arithmetic. log and cos must give libm's bits, as math does
+    in standard_normal, and numpy's SIMD log for contiguous arrays does not;
+    libm_exact takes numpy's scalar loop through a reversed view when its
+    probe finds that loop equal to math, and calls math per element when not.
+    sqrt and the products are correctly rounded either way and keep the
+    scalar operand order.
     """
     n = math.prod(shape)
     out = np.empty(n)
@@ -121,9 +128,7 @@ def normal_array(stream: RandomStream, shape: tuple[int, ...]) -> np.ndarray:
         z >>= np.uint64(11)
         u1 = (z[0::2] + np.uint64(1)) / 9007199254740992.0
         u2 = (2.0 * math.pi) * (z[1::2] / 9007199254740992.0)
-        log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, m)
-        cos_u2 = np.fromiter(map(math.cos, u2.tolist()), np.float64, m)
-        out[start : start + m] = np.sqrt(-2.0 * log_u1) * cos_u2
+        out[start : start + m] = np.sqrt(-2.0 * libm_exact(np.log, u1)) * libm_exact(np.cos, u2)
         stream.state = (stream.state + 2 * m * _GOLDEN) & _MASK64
     return out.reshape(shape)
 

@@ -11,22 +11,66 @@ Multiply-accumulate instrumentation: kernels that perform dense arithmetic
 to any active MacCounter. Softmax, normalization, pooling and resampling are
 deliberately uncounted; the complexity model only prices score/weighted-sum
 and projection stages.
+
+Importing the module tunes glibc's malloc for the whole process
+(_retain_heap): freed heap stays mapped, so repeated decodes do not fault
+their working set in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 
 class ShapeError(ValueError):
     """Raised when operand shapes violate a kernel's contract."""
+
+
+# ---------------------------------------------------------------------------
+# Heap
+# ---------------------------------------------------------------------------
+
+# glibc mallopt parameters (malloc.h) and the values _retain_heap sets.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 8 << 20
+_TRIM_THRESHOLD = 1 << 30
+
+
+def _retain_heap() -> bool:
+    """Keep freed heap pages mapped from one decode to the next, on glibc.
+
+    A decode frees nearly all it allocated when it ends. glibc hands the top
+    of its heap back to the OS once more than twice its mmap threshold is
+    free there, and the next decode faults those pages in again, zeroed: at
+    256x256 taped, 4K-18K minor faults and 15-40 ms of system time in a
+    ~150 ms op. How much is trimmed depends on where long-lived arrays
+    happen to lie in the heap, so any change to what ran before moves it.
+    Trimming only past 1 GiB of free top lets each op reuse the last one's
+    pages. Setting it also stops glibc raising its mmap threshold as large
+    blocks are freed, so that is pinned too: arrays of 8 MiB and more keep
+    their own mapping, returned on free. Put on the heap, freed ones leave
+    holes other sizes do not fill; with 32 MiB, the 512x1024 full-width
+    decode's peak RSS rose by a fifth. Returns whether both settings took;
+    without glibc it changes nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (AttributeError, ValueError, OSError):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)) and bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
+_HEAP_RETAINED = _retain_heap()
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +331,110 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# libm-exact transcendentals
+# ---------------------------------------------------------------------------
+
+# The math function each libm_exact ufunc must match, and the range its probe
+# covers: normal_array's log and cos arguments, and erf's exp(-x*x).
+_LIBM = {
+    np.log: (math.log, 2.0**-53, 1.0),
+    np.cos: (math.cos, 0.0, 2.0 * math.pi),
+    np.exp: (math.exp, -64.0, -1.0),
+}
+_PROBE_SIZE = 1 << 12
+
+
+@lru_cache(maxsize=None)
+def _view_is_libm(ufunc: np.ufunc) -> bool:
+    """Whether ufunc on a reversed view gives math's bits on _PROBE_SIZE
+    evenly spaced inputs across its _LIBM range."""
+    scalar, lo, hi = _LIBM[ufunc]
+    x = np.linspace(lo, hi, _PROBE_SIZE)
+    want = np.fromiter(map(scalar, x.tolist()), np.float64, x.size)
+    return np.array_equal(ufunc(x[::-1])[::-1].view(np.int64), want.view(np.int64))
+
+
+def libm_exact(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """np.log, np.cos or np.exp of a 1-d array, bit for bit equal to calling
+    the math function (libm) once per element.
+
+    numpy's loop for a contiguous array may be SIMD code that differs from
+    libm in the last bit: with numpy 2.4 on x86-64, log on (0, 1] in ~0.35%
+    and exp on [-64, -1] in ~4.6% of draws. A negative-stride view is not
+    contiguous, and there numpy runs its scalar loop, which calls libm. Which
+    loop numpy picks is its own detail, so the view is used only where a
+    one-time probe (_view_is_libm) finds it equal to math; otherwise each
+    element goes through math.
+    """
+    if _view_is_libm(ufunc):
+        return ufunc(x[::-1])[::-1]
+    return np.fromiter(map(_LIBM[ufunc][0], x.tolist()), np.float64, x.size)
+
+
+# Cephes erf (Moshier 1989, Methods and Programs for Mathematical Functions,
+# ndtr.c), the algorithm scipy.special.erf ships: erf(x) = x*T(x*x)/U(x*x)
+# for |x| <= 1, else 1 - erfc(|x|) with x's sign, where erfc(x) =
+# exp(-x*x)*P(x)/Q(x) below 8. U and Q lead with an unlisted 1.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _polevl(x: np.ndarray, coef: tuple, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Cephes polevl: coef[0]*x**n + ... + coef[n], Horner in its order."""
+    y = np.multiply(x, coef[0], out=out)
+    y += coef[1]
+    for c in coef[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Cephes p1evl: _polevl with a leading coefficient 1 not listed."""
+    y = x + coef[0]
+    for c in coef[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _erf(t: np.ndarray, out: np.ndarray) -> None:
+    """Cephes erf of a 1-d array into out, bit for bit scipy.special.erf.
+
+    The |t| <= 1 rational runs on every entry, the others clamped to 1, and
+    only those others are redone through erfc. From 8 up Cephes's erfc is at
+    most erfc(8) ~ 1.1e-29 (its R/S branch, or 0 past its MAXLOG underflow
+    clamp), so 1 - erfc rounds to 1; clamping |t| to 8 gives the same 1 and
+    keeps exp's argument in [-64, -1).
+    """
+    with np.errstate(over="ignore"):  # a square past 1e308 only marks its entry
+        z = t * t
+    big = np.flatnonzero(z > 1.0)  # just the |t| > 1 entries; NaN stays out
+    c = t
+    if big.size:
+        c = t.copy()
+        c[big] = 1.0
+        z[big] = 1.0
+    _polevl(z, _ERF_T, out=out)
+    out *= c
+    out /= _p1evl(z, _ERF_U)
+    if big.size:
+        a = t[big]
+        x = np.minimum(np.abs(a), 8.0)
+        erfc = libm_exact(np.exp, -x * x) * _polevl(x, _ERFC_P)
+        erfc /= _p1evl(x, _ERFC_Q)
+        out[big] = np.copysign(1.0 - erfc, a)
+
+
+# ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
 
@@ -346,7 +494,7 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     return _emit(out, inputs, backward_fn)
 
 
-# Values per row block of softmax_lastdim.
+# Values per block of softmax_lastdim, strip_attention and gelu.
 SOFTMAX_BLOCK = 1 << 15
 
 
@@ -579,10 +727,23 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error-function GELU."""
+    """Exact GELU: x * cdf with cdf = 0.5 * (1 + erf(x / sqrt(2))).
+
+    erf is Cephes's (_erf), bit for bit scipy.special.erf. Each block of
+    SOFTMAX_BLOCK values runs every step while it is in cache.
+    """
     x_data = x.data
-    cdf = 0.5 * (1.0 + erf(x_data / math.sqrt(2.0)))
-    out = x_data * cdf
+    x_flat = x_data.reshape(-1)
+    cdf = np.empty(x.shape)
+    out = np.empty(x.shape)
+    cdf_flat, out_flat = cdf.reshape(-1), out.reshape(-1)
+    for s in range(0, x_flat.size, SOFTMAX_BLOCK):
+        blk = slice(s, s + SOFTMAX_BLOCK)
+        x_blk, cdf_blk = x_flat[blk], cdf_flat[blk]
+        _erf(x_blk / math.sqrt(2.0), out=cdf_blk)
+        cdf_blk += 1.0
+        cdf_blk *= 0.5
+        np.multiply(x_blk, cdf_blk, out=out_flat[blk])
 
     def backward_fn(g):
         pdf = np.exp(-0.5 * x_data * x_data) / math.sqrt(2.0 * math.pi)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import stripseg.tensor as tensor_module
 from stripseg.synth import (
     _NORMAL_BLOCK,
     PyramidSpec,
@@ -14,6 +15,7 @@ from stripseg.synth import (
     splitmix64_next,
     standard_normal,
 )
+from stripseg.tensor import libm_exact
 
 B = _NORMAL_BLOCK
 
@@ -91,6 +93,26 @@ class TestNormalArray:
         assert np.array_equal(got, want)
         assert block.state == scalar.state
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_a_third_of_a_million_draws_per_seed_equal_scalar_draws(self, seed):
+        # 350,001 = 85 full blocks and a ragged 1,841; over the three seeds,
+        # 1.05M draws.
+        n = 350_001
+        block, scalar = RandomStream(seed), RandomStream(seed)
+        assert np.array_equal(normal_array(block, (n,)), scalar_normals(scalar, n))
+        assert block.state == scalar.state
+
+    def test_per_element_math_fallback_gives_the_same_draws(self, monkeypatch):
+        n = 2 * B + 3
+        fast = RandomStream(5)
+        want = normal_array(fast, (n,))
+        monkeypatch.setattr(tensor_module, "_view_is_libm", lambda ufunc: False)
+        slow = RandomStream(5)
+        got = normal_array(slow, (n,))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert slow.state == fast.state
+        assert np.array_equal(got, scalar_normals(RandomStream(5), n))
+
     def test_consecutive_calls_continue_one_sequence(self):
         block, scalar = RandomStream(99), RandomStream(99)
         first = normal_array(block, (B + 5,))
@@ -109,6 +131,31 @@ class TestNormalArray:
             "-0x1.5936c70cb95e4p-3",
         ]
         assert float(stage1[-1]).hex() == "-0x1.3ba0c2fd5b85dp+0"
+
+
+class TestLibmProbe:
+    """libm_exact's probe, run afresh (not from its cache) for each function."""
+
+    @pytest.mark.parametrize("ufunc", [np.log, np.cos, np.exp], ids=lambda f: f.__name__)
+    def test_probe_verdict_holds_on_fresh_inputs(self, ufunc):
+        scalar, lo, hi = tensor_module._LIBM[ufunc]
+        x = np.random.default_rng(11).uniform(lo, hi, 1 << 16)
+        libm = np.fromiter(map(scalar, x.tolist()), np.float64, x.size)
+        view_equal = np.array_equal(ufunc(x[::-1])[::-1].view(np.int64), libm.view(np.int64))
+        if tensor_module._view_is_libm.__wrapped__(ufunc):
+            assert view_equal
+        assert np.array_equal(libm_exact(ufunc, x).view(np.int64), libm.view(np.int64))
+
+    @pytest.mark.parametrize("ufunc", [np.log, np.cos, np.exp], ids=lambda f: f.__name__)
+    def test_probe_rejects_one_differing_last_bit(self, ufunc, monkeypatch):
+        scalar, lo, hi = tensor_module._LIBM[ufunc]
+        probed = np.linspace(lo, hi, tensor_module._PROBE_SIZE)[1234]
+
+        def off_by_one_ulp(v):
+            return math.nextafter(scalar(v), math.inf) if v == probed else scalar(v)
+
+        monkeypatch.setitem(tensor_module._LIBM, ufunc, (off_by_one_ulp, lo, hi))
+        assert not tensor_module._view_is_libm.__wrapped__(ufunc)
 
 
 class TestPyramid:

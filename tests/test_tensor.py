@@ -2,6 +2,10 @@
 
 import inspect
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from stripseg.tensor import (
     Tape,
     Tensor,
     _emit,
+    _erf,
     adaptive_avg_pool,
     add,
     backward,
@@ -579,6 +584,110 @@ class TestGradients:
     def test_tamper_hook_is_detected(self):
         x = rand_uniform((3, 4), seed=59)
         assert op_gradcheck(tampered_softmax, [x], seed=59) > GRADCHECK_TOL
+
+
+def cephes_erf(x):
+    out = np.empty_like(x)
+    _erf(x, out)
+    return out
+
+
+def assert_same_bits(got, want):
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+# Where Cephes erf branches or clamps: signed zeros, the |x| = 1 and 8 branch
+# points, erfc's MAXLOG underflow (x*x > 709.78 from x ~ 26.64), squares that
+# overflow, infinities, NaN and subnormals.
+ERF_EDGES = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+             8.0, -8.0, np.nextafter(8.0, 0.0), 26.0, 26.5, 26.64, 26.65, 27.0, -27.0, 1e154, 1.4e154, 1e300,
+             -1e300, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310]
+
+
+class TestErf:
+    """The numpy Cephes erf against scipy.special.erf, the library it follows."""
+
+    @pytest.mark.parametrize("branch", ["|x|<=1", "1<|x|<8", "|x|>=8"])
+    def test_bit_equal_to_scipy_on_a_million_draws_per_branch(self, branch):
+        scipy_special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(7)
+        n = 1_000_003
+        sign = rng.choice([-1.0, 1.0], n)
+        if branch == "|x|<=1":
+            x = rng.uniform(-1.0, 1.0, n)
+        elif branch == "1<|x|<8":
+            x = sign * rng.uniform(np.nextafter(1.0, 2.0), 8.0, n)
+        else:  # half up to the underflow clamp and past it, half spread to 1e300
+            x = sign * np.where(rng.random(n) < 0.5, rng.uniform(8.0, 30.0, n), 10.0 ** rng.uniform(0.91, 300.0, n))
+        assert_same_bits(cephes_erf(x), scipy_special.erf(x))
+
+    def test_edge_values_keep_bits_signs_and_nan(self):
+        scipy_special = pytest.importorskip("scipy.special")
+        x = np.array(ERF_EDGES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = cephes_erf(x)
+        assert_same_bits(got, scipy_special.erf(x))
+        assert np.signbit(got[1]) and not np.signbit(got[0])
+
+    def test_gelu_is_the_scipy_formula_bit_for_bit(self):
+        scipy_special = pytest.importorskip("scipy.special")
+        # Mixed blocks: some hold only |x/sqrt(2)| <= 1, some both branches,
+        # and the last is ragged.
+        x = rand_normal((5, 40_001), 3) * np.array([[0.1], [1.0], [3.0], [30.0], [1e200]])
+        want = x * (0.5 * (1.0 + scipy_special.erf(x / math.sqrt(2.0))))
+        assert_same_bits(gelu(Tensor(x)).data, want)
+
+    def test_gelu_of_huge_and_non_finite_inputs_warns_nothing(self):
+        # -inf is left out: -inf * cdf(-inf) is inf * 0, which numpy's
+        # multiply flags as invalid whatever erf returns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = gelu(Tensor(np.array([1e300, -1e300, np.inf, np.nan]))).data
+        assert_same_bits(out, np.array([1e300, -0.0, np.inf, np.nan]))
+
+    def test_per_element_math_fallback_gives_the_same_bits(self, monkeypatch):
+        x = np.concatenate([rand_normal((70_000,), 4) * 4.0, np.array(ERF_EDGES)])
+        fast = cephes_erf(x)
+        monkeypatch.setattr(tensor_module, "_view_is_libm", lambda ufunc: False)
+        assert_same_bits(cephes_erf(x), fast)
+
+    def test_importing_the_package_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(stripseg.__file__))
+        code = "import sys, stripseg; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not tensor_module._HEAP_RETAINED, reason="needs glibc's mallopt")
+class TestHeap:
+    def test_freed_arrays_are_reused_without_page_faults(self):
+        # 96 MiB in 1 MiB arrays, freed together: past glibc's default trim
+        # threshold, so without the package's settings the second round
+        # faults in about as many pages as the first.
+        src = os.path.dirname(os.path.dirname(stripseg.__file__))
+        code = (
+            "import resource, numpy as np, stripseg\n"
+            "def faults(): return resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "rounds = []\n"
+            "for _ in range(2):\n"
+            "    f0 = faults()\n"
+            "    arrays = [np.ones(1 << 17) for _ in range(96)]\n"
+            "    rounds.append(faults() - f0)\n"
+            "    del arrays\n"
+            "print(*rounds)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        first, second = map(int, result.stdout.split())
+        pages = 96 * (1 << 20) // os.sysconf("SC_PAGE_SIZE")
+        assert first >= pages // 2
+        assert second < pages // 16
 
 
 class TestFiniteness:
