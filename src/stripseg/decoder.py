@@ -7,6 +7,10 @@ normalization. The mixer's key/value source blends all pyramid levels:
 encoder features for stages at or below the current one, already-decoded
 features above it.
 
+The MLP sub-block works on each token alone, so an untaped block runs it on
+blocks of mlp_block_rows tokens, and the hidden activations of a whole
+stage never exist at once; a taped block runs it on all tokens at once.
+
 Alignment of the mixed key/value: every level is average-pooled to the
 stage-4 grid (H/32 x W/32) and concatenated along channels, so the key/value
 token count stays small and constant across stages. Each level is pooled
@@ -32,6 +36,7 @@ from .attention import (
 )
 from .synth import FeaturePyramid, _as_bool, _as_int, _as_number, _four, _require, normal_array, substream
 from .tensor import (
+    SOFTMAX_BLOCK,
     LinearParams,
     ShapeError,
     Tape,
@@ -248,6 +253,26 @@ def mixer_branch(
     return mixer(q_in, kv_in, p.mixer, with_map=with_map)
 
 
+def mlp_block(z: Tensor, p: CLBParams, eps: float) -> Tensor:
+    """A block's MLP sub-block with its residual, on tokens z [..., C]."""
+    hidden = gelu(linear(layernorm(z, p.ln3_gamma, p.ln3_beta, eps), p.mlp_fc1))
+    return add(linear(hidden, p.mlp_fc2), z)
+
+
+def mlp_block_rows(hidden: int) -> int:
+    """Tokens per block of an untaped MLP sub-block of the given hidden width:
+    the largest power of two <= SOFTMAX_BLOCK // hidden, but at least 256.
+
+    At the realistic widths, OpenBLAS 0.3.31 (x86-64) rounded blocks of up
+    to 32 rows, and short ragged tails, differently in the last bit from the
+    whole matrix, so blocks stay well above that. Larger blocks cost memory:
+    with 2,048 rows at 512x1024, the 2-MiB hiddens stayed on the retained
+    heap (tensor._retain_heap) and the full-width decode's peak RSS rose by
+    ~5 MiB.
+    """
+    return max(256, (1 << (SOFTMAX_BLOCK // hidden).bit_length()) >> 1)
+
+
 def clb(
     f: Tensor,
     m: Tensor,
@@ -258,16 +283,28 @@ def clb(
     lpm_enabled: bool,
     eps: float = 1e-6,
 ) -> Tensor:
-    """One decoder block; returns the refined tokens. Its mixer builds no map."""
+    """One decoder block; returns the refined tokens. Its mixer builds no map.
+
+    The MLP sub-block works on each token alone. Untaped, it runs on one
+    block of mlp_block_rows tokens at a time (batch and token axes taken
+    together) and writes each block into one output array, so the hidden
+    activations of the whole stage never exist at once. A taped call runs
+    it as one block, since the tape holds every hidden for backward anyway.
+    """
     att = mixer_branch(f, m, p, mixer_kind, eps, with_map=False)
     z_g = add(att.out, f)
     if lpm_enabled:
         z_gl = add(lpm(layernorm(z_g, p.ln2_gamma, p.ln2_beta, eps), h, w, p.lpm), z_g)
     else:
         z_gl = z_g
-    hidden = gelu(linear(layernorm(z_gl, p.ln3_gamma, p.ln3_beta, eps), p.mlp_fc1))
-    d = add(linear(hidden, p.mlp_fc2), z_gl)
-    return d
+    rows = z_gl.data.reshape(-1, z_gl.shape[-1])
+    step = mlp_block_rows(p.mlp_fc1.weight.shape[0])
+    if z_gl.tape is not None or rows.shape[0] <= step:
+        return mlp_block(z_gl, p, eps)
+    out = np.empty(rows.shape)
+    for r in range(0, rows.shape[0], step):
+        out[r : r + step] = mlp_block(Tensor(rows[r : r + step]), p, eps).data
+    return Tensor(out.reshape(z_gl.shape))
 
 
 def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] = None) -> DecodeTrace:

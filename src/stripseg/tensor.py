@@ -12,6 +12,9 @@ to any active MacCounter. Softmax, normalization, pooling and resampling are
 deliberately uncounted; the complexity model only prices score/weighted-sum
 and projection stages.
 
+Memory: the row-wise kernels (softmax_lastdim, strip_attention, gelu) work
+one block of SOFTMAX_BLOCK values at a time, and depthwise_conv pads only in
+backward; its forward adds each tap into the in-range part of the output.
 Importing the module tunes glibc's malloc for the whole process
 (_retain_heap): freed heap stays mapped, so repeated decodes do not fault
 their working set in again.
@@ -605,7 +608,14 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
 def depthwise_conv(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Per-channel spatial cross-correlation with zero same-padding.
 
-    x is [B, C, H, W]; kernel is [C, kh, kw] with kh, kw in {1, 3}.
+    x is [B, C, H, W]; kernel is [C, kh, kw] with kh, kw in {1, 3}. Forward
+    pads nothing. Tap by tap in (dy, dx) order, it multiplies x, shifted by
+    the tap's offset along the flattened H*W axis, into one reused product
+    buffer, zeroes the products that wrapped around a row end, and adds the
+    buffer into the in-range span of a zeroed output; then it adds the bias
+    in place. The padded sum adds +-0 where this adds +0 or nothing, and an
+    output that starts at +0 never becomes -0, so for a finite kernel this
+    is bit for bit the padded sum. Only backward pads x.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"depthwise_conv input must be [B,C,H,W], got {x.shape}")
@@ -618,18 +628,34 @@ def depthwise_conv(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> 
         raise ShapeError(f"bias shape {bias.shape} != ({channels},)")
     b, c, h, w = x.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    out = np.zeros((b, c, h, w))
+    x_data, k_data = x.data, kernel.data
+    x_flat = x_data.reshape(b, c, h * w)
+    out = np.zeros((b, c, h * w))
+    prod = np.empty(b * c * h * w)
     for dy in range(kh):
         for dx in range(kw):
-            out += kernel.data[:, dy, dx][None, :, None, None] * xp[:, :, dy : dy + h, dx : dx + w]
+            # output j reads input j + shift; the span holds every output
+            # whose input row is in range, less an end that would leave x
+            dr, dc = dy - ph, dx - pw
+            lo = max(0, -dr) * w + max(0, -dc)
+            hi = min(h, h - dr) * w - max(0, dc)
+            if lo >= hi or abs(dc) >= w:
+                continue
+            shift = dr * w + dc
+            dst = prod[: b * c * (hi - lo)].reshape(b, c, hi - lo)
+            np.multiply(k_data[:, dy, dx][None, :, None], x_flat[:, :, lo + shift : hi + shift], out=dst)
+            if dc:
+                # in either direction, every w-th product from w - 1 crossed a row end
+                dst[:, :, w - 1 :: w] = 0.0
+            out[:, :, lo:hi] += dst
     if bias is not None:
-        out = out + bias.data[None, :, None, None]
+        out += bias.data[None, :, None]
+    out = out.reshape(b, c, h, w)
     _tally(b * c * h * w * kh * kw, out.size)
-    k_data = kernel.data
     has_bias = bias is not None
 
     def backward_fn(g):
+        xp = np.pad(x_data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
         gxp = np.zeros_like(xp)
         gk = np.zeros((channels, kh, kw))
         for dy in range(kh):
@@ -730,7 +756,9 @@ def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * cdf with cdf = 0.5 * (1 + erf(x / sqrt(2))).
 
     erf is Cephes's (_erf), bit for bit scipy.special.erf. Each block of
-    SOFTMAX_BLOCK values runs every step while it is in cache.
+    SOFTMAX_BLOCK values runs every step while it is in cache. At -inf the
+    result is -0.0, as for every finite x below about -8.4, where cdf rounds
+    to 0, and the gradient is 0; at +inf they are inf and 1.
     """
     x_data = x.data
     x_flat = x_data.reshape(-1)
@@ -739,15 +767,19 @@ def gelu(x: Tensor) -> Tensor:
     cdf_flat, out_flat = cdf.reshape(-1), out.reshape(-1)
     for s in range(0, x_flat.size, SOFTMAX_BLOCK):
         blk = slice(s, s + SOFTMAX_BLOCK)
-        x_blk, cdf_blk = x_flat[blk], cdf_flat[blk]
+        x_blk, cdf_blk, out_blk = x_flat[blk], cdf_flat[blk], out_flat[blk]
         _erf(x_blk / math.sqrt(2.0), out=cdf_blk)
         cdf_blk += 1.0
         cdf_blk *= 0.5
-        np.multiply(x_blk, cdf_blk, out=out_flat[blk])
+        with np.errstate(invalid="ignore"):  # -inf * cdf(-inf) is -inf * 0
+            np.multiply(x_blk, cdf_blk, out=out_blk)
+        out_blk[x_blk == -np.inf] = -0.0
 
     def backward_fn(g):
-        pdf = np.exp(-0.5 * x_data * x_data) / math.sqrt(2.0 * math.pi)
-        return (g * (cdf + x_data * pdf),)
+        with np.errstate(over="ignore", invalid="ignore"):  # x*x past 1e308; +-inf * 0
+            slope = x_data * (np.exp(-0.5 * x_data * x_data) / math.sqrt(2.0 * math.pi))
+        slope[np.isinf(x_data)] = 0.0
+        return (g * (cdf + slope),)
 
     return _emit(out, (x,), backward_fn)
 

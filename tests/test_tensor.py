@@ -246,6 +246,71 @@ class TestDepthwiseConv:
         with pytest.raises(ShapeError):
             depthwise_conv(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 5, 5))))
 
+    @pytest.mark.parametrize("kernel_hw", [(1, 1), (1, 3), (3, 1), (3, 3)])
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (2, 2, 1, 6), (2, 2, 5, 1), (2, 1, 1, 1)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_matches_scalar_loop_bit_for_bit(self, kernel_hw, shape, with_bias):
+        # The loop adds the in-range taps in (dy, dx) order to 0.0, then the
+        # bias: the kernel's order, so even the last bit agrees.
+        kh, kw = kernel_hw
+        b, c, h, w = shape
+        x = rand_uniform(shape, seed=60)
+        kernel = rand_uniform((c, kh, kw), seed=61)
+        bias = rand_uniform((c,), seed=62) if with_bias else None
+        out = depthwise_conv(Tensor(x), Tensor(kernel), None if bias is None else Tensor(bias)).data
+        expect = np.zeros(shape)
+        for n in range(b):
+            for ch in range(c):
+                for y in range(h):
+                    for x_ in range(w):
+                        acc = 0.0
+                        for dy in range(kh):
+                            for dx in range(kw):
+                                yy, xx = y + dy - kh // 2, x_ + dx - kw // 2
+                                if 0 <= yy < h and 0 <= xx < w:
+                                    acc += float(kernel[ch, dy, dx]) * float(x[n, ch, yy, xx])
+                        expect[n, ch, y, x_] = acc + float(bias[ch]) if with_bias else acc
+        assert_same_bits(out, expect)
+
+    @staticmethod
+    def padded_forward(x, kernel, bias):
+        # the forward before it stopped padding: every tap over a
+        # zero-padded copy of x, then the bias
+        kh, kw = kernel.shape[1:]
+        h, w = x.shape[2:]
+        xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+        out = np.zeros(x.shape)
+        for dy in range(kh):
+            for dx in range(kw):
+                out += kernel[:, dy, dx][None, :, None, None] * xp[:, :, dy : dy + h, dx : dx + w]
+        return out + bias[None, :, None, None]
+
+    @pytest.mark.parametrize("kernel_hw", [(1, 1), (1, 3), (3, 1), (3, 3)])
+    @pytest.mark.parametrize("shape", [(2, 4, 9, 7), (1, 3, 1, 8), (2, 2, 6, 1), (1, 2, 2, 2)])
+    def test_bit_equal_to_the_padded_forward(self, kernel_hw, shape):
+        c = shape[1]
+        # exact zeros and negative inputs, where a -0.0 could show
+        x = np.round(rand_normal(shape, 63), 1)
+        kernel = np.round(rand_normal((c, *kernel_hw), 64), 1)
+        bias = np.round(rand_normal((c,), 65), 1)
+        out = depthwise_conv(Tensor(x), Tensor(kernel), Tensor(bias)).data
+        assert_same_bits(out, self.padded_forward(x, kernel, bias))
+        out_no_bias = depthwise_conv(Tensor(x), Tensor(kernel)).data
+        assert_same_bits(out_no_bias, self.padded_forward(x, kernel, np.zeros(c)))
+
+    @pytest.mark.parametrize("kernel_hw", [(1, 3), (3, 3)])
+    def test_infinite_edge_inputs_do_not_wrap_to_the_next_row(self, kernel_hw):
+        # an inf in the first or last column must reach only its neighbours
+        # in the same row, as through the zero padding
+        x = rand_uniform((1, 2, 5, 6), seed=66)
+        x[:, :, ::2, 0] = np.inf
+        x[:, :, 1::2, -1] = np.inf
+        kernel = 0.5 + rand_uniform((2, *kernel_hw), seed=67, lo=0.0, hi=1.0)
+        bias = rand_uniform((2,), seed=68)
+        out = depthwise_conv(Tensor(x), Tensor(kernel), Tensor(bias)).data
+        assert_same_bits(out, self.padded_forward(x, kernel, bias))
+        assert np.isfinite(out).any()
+
 
 class TestPooling:
     def test_global_constant(self):
@@ -500,6 +565,11 @@ class TestGradients:
         ]
         assert op_gradcheck(depthwise_conv, arrays, seed=seed) < GRADCHECK_TOL
 
+    @pytest.mark.parametrize("seed,kernel_hw,shape", [(150, (1, 3), (2, 2, 3, 4)), (151, (3, 1), (1, 2, 4, 3)), (152, (3, 3), (2, 1, 1, 4)), (153, (3, 3), (1, 2, 4, 1)), (154, (1, 3), (2, 1, 1, 1))])
+    def test_depthwise_conv_without_bias(self, seed, kernel_hw, shape):
+        arrays = [rand_uniform(shape, seed=seed), rand_uniform((shape[1], *kernel_hw), seed=seed + 90)]
+        assert op_gradcheck(depthwise_conv, arrays, seed=seed) < GRADCHECK_TOL
+
     @pytest.mark.parametrize("seed,shape", [(20, (1, 2, 3, 3)), (21, (2, 1, 4, 2)), (22, (1, 3, 2, 5)), (23, (2, 2, 2, 2)), (24, (1, 1, 6, 4))])
     def test_global_avg_pool(self, seed, shape):
         assert op_gradcheck(global_avg_pool, [rand_uniform(shape, seed=seed)], seed=seed) < GRADCHECK_TOL
@@ -641,12 +711,39 @@ class TestErf:
         assert_same_bits(gelu(Tensor(x)).data, want)
 
     def test_gelu_of_huge_and_non_finite_inputs_warns_nothing(self):
-        # -inf is left out: -inf * cdf(-inf) is inf * 0, which numpy's
-        # multiply flags as invalid whatever erf returns.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            out = gelu(Tensor(np.array([1e300, -1e300, np.inf, np.nan]))).data
-        assert_same_bits(out, np.array([1e300, -0.0, np.inf, np.nan]))
+            out = gelu(Tensor(np.array([1e300, -1e300, np.inf, -np.inf, np.nan]))).data
+        assert_same_bits(out, np.array([1e300, -0.0, np.inf, -0.0, np.nan]))
+
+    def test_gelu_at_infinities_takes_its_limits_forward_and_backward(self):
+        # GELU tends to 0 at -inf with slope 0, and to x at +inf with slope
+        # 1; the infinities in a block leave its finite entries' bits alone.
+        finite = rand_normal((3, 50), 5) * np.array([[1.0], [10.0], [1e200]])
+        x = finite.copy()
+        x[:, ::7] = -np.inf
+        x[:, 3::7] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tape = Tape()
+            leaf = tape.leaf(x)
+            out = gelu(leaf)
+            grad = backward(tape, sum_all(out))[leaf.tid].data
+            tape_f = Tape()
+            leaf_f = tape_f.leaf(finite)
+            out_f = gelu(leaf_f)
+            grad_f = backward(tape_f, sum_all(out_f))[leaf_f.tid].data
+        inf = np.isinf(x)
+        assert_same_bits(out.data[inf], np.where(x[inf] > 0, np.inf, -0.0))
+        assert_same_bits(grad[inf], np.where(x[inf] > 0, 1.0, 0.0))
+        assert_same_bits(out.data[~inf], out_f.data[~inf])
+        assert_same_bits(grad[~inf], grad_f[~inf])
+        # finite entries keep the formula's bits: x * cdf, and cdf + x * pdf
+        cdf = 0.5 * (1.0 + cephes_erf((finite / math.sqrt(2.0)).ravel()).reshape(finite.shape))
+        assert_same_bits(out_f.data, finite * cdf)
+        with np.errstate(over="ignore"):  # the 1e200 row's squares
+            pdf = np.exp(-0.5 * finite * finite) / math.sqrt(2.0 * math.pi)
+        assert_same_bits(grad_f, 1.0 * (cdf + finite * pdf))
 
     def test_per_element_math_fallback_gives_the_same_bits(self, monkeypatch):
         x = np.concatenate([rand_normal((70_000,), 4) * 4.0, np.array(ERF_EDGES)])
