@@ -8,7 +8,7 @@ encoder features for stages at or below the current one, already-decoded
 features above it.
 
 The MLP sub-block works on each token alone, so an untaped block runs it on
-blocks of mlp_block_rows tokens, and the hidden activations of a whole
+blocks of MLP_BLOCK_ROWS tokens, and the hidden activations of a whole
 stage never exist at once; a taped block runs it on all tokens at once.
 
 Alignment of the mixed key/value: every level is average-pooled to the
@@ -36,7 +36,6 @@ from .attention import (
 )
 from .synth import FeaturePyramid, _as_bool, _as_int, _as_number, _four, _require, normal_array, substream
 from .tensor import (
-    SOFTMAX_BLOCK,
     LinearParams,
     ShapeError,
     Tape,
@@ -253,24 +252,21 @@ def mixer_branch(
     return mixer(q_in, kv_in, p.mixer, with_map=with_map)
 
 
+# Tokens per block of an untaped MLP sub-block; the last block takes the
+# remainder too, so it holds MLP_BLOCK_ROWS to 2 * MLP_BLOCK_ROWS - 1 rows.
+# OpenBLAS 0.3.31 (x86-64) rounded row blocks of up to 32 rows, and short
+# ragged tails, differently in the last bit from the whole matrix; blocks
+# of 256 rows and more with no short tail gave the whole matrix's bits at
+# every width tried. Larger blocks cost memory: with 2,048 rows at 512x1024
+# the 2-MiB hiddens stayed on the retained heap (tensor._retain_heap) and
+# the full-width decode's peak RSS rose by ~5 MiB.
+MLP_BLOCK_ROWS = 256
+
+
 def mlp_block(z: Tensor, p: CLBParams, eps: float) -> Tensor:
     """A block's MLP sub-block with its residual, on tokens z [..., C]."""
     hidden = gelu(linear(layernorm(z, p.ln3_gamma, p.ln3_beta, eps), p.mlp_fc1))
     return add(linear(hidden, p.mlp_fc2), z)
-
-
-def mlp_block_rows(hidden: int) -> int:
-    """Tokens per block of an untaped MLP sub-block of the given hidden width:
-    the largest power of two <= SOFTMAX_BLOCK // hidden, but at least 256.
-
-    At the realistic widths, OpenBLAS 0.3.31 (x86-64) rounded blocks of up
-    to 32 rows, and short ragged tails, differently in the last bit from the
-    whole matrix, so blocks stay well above that. Larger blocks cost memory:
-    with 2,048 rows at 512x1024, the 2-MiB hiddens stayed on the retained
-    heap (tensor._retain_heap) and the full-width decode's peak RSS rose by
-    ~5 MiB.
-    """
-    return max(256, (1 << (SOFTMAX_BLOCK // hidden).bit_length()) >> 1)
 
 
 def clb(
@@ -286,10 +282,12 @@ def clb(
     """One decoder block; returns the refined tokens. Its mixer builds no map.
 
     The MLP sub-block works on each token alone. Untaped, it runs on one
-    block of mlp_block_rows tokens at a time (batch and token axes taken
-    together) and writes each block into one output array, so the hidden
-    activations of the whole stage never exist at once. A taped call runs
-    it as one block, since the tape holds every hidden for backward anyway.
+    block of MLP_BLOCK_ROWS tokens at a time (batch and token axes taken
+    together), the last block with the remainder as well, and writes each
+    block into one output array, so the hidden activations of the whole
+    stage never exist at once. A taped call, or one with fewer than
+    2 * MLP_BLOCK_ROWS tokens, runs it as one block; the tape holds every
+    hidden for backward anyway.
     """
     att = mixer_branch(f, m, p, mixer_kind, eps, with_map=False)
     z_g = add(att.out, f)
@@ -298,12 +296,14 @@ def clb(
     else:
         z_gl = z_g
     rows = z_gl.data.reshape(-1, z_gl.shape[-1])
-    step = mlp_block_rows(p.mlp_fc1.weight.shape[0])
-    if z_gl.tape is not None or rows.shape[0] <= step:
+    n, step = rows.shape[0], MLP_BLOCK_ROWS
+    if z_gl.tape is not None or n < 2 * step:
         return mlp_block(z_gl, p, eps)
     out = np.empty(rows.shape)
-    for r in range(0, rows.shape[0], step):
+    last = (n // step - 1) * step  # the last block takes the remainder
+    for r in range(0, last, step):
         out[r : r + step] = mlp_block(Tensor(rows[r : r + step]), p, eps).data
+    out[last:] = mlp_block(Tensor(rows[last:]), p, eps).data
     return Tensor(out.reshape(z_gl.shape))
 
 

@@ -778,7 +778,7 @@ def gelu(x: Tensor) -> Tensor:
     def backward_fn(g):
         with np.errstate(over="ignore", invalid="ignore"):  # x*x past 1e308; +-inf * 0
             slope = x_data * (np.exp(-0.5 * x_data * x_data) / math.sqrt(2.0 * math.pi))
-        slope[np.isinf(x_data)] = 0.0
+        slope = np.where(np.isinf(x_data), 0.0, slope)
         return (g * (cdf + slope),)
 
     return _emit(out, (x,), backward_fn)

@@ -345,7 +345,7 @@ class TestMLPBlocks:
 
     def test_realistic_stage_1_blocks_equal_one_taped_block_bit_for_bit(self, monkeypatch):
         block = self.stage1_block()
-        assert decoder_module.mlp_block_rows(block.mlp_fc1.weight.shape[0]) == 256
+        assert decoder_module.MLP_BLOCK_ROWS == 256
         f = rand_normal((1, 128 * 256, 32), seed=22)
         m = rand_normal((1, 16, 512), seed=23)
         rows = self.gelu_rows(monkeypatch)
@@ -357,19 +357,31 @@ class TestMLPBlocks:
         assert taped.tape is not None and untaped.tape is None
         assert np.array_equal(untaped.data.view(np.int64), taped.data.view(np.int64))
 
-    def test_ragged_tokens_and_batch_of_two_agree_with_one_block(self, monkeypatch):
-        # 2 x 2,051 tokens: 16 blocks of 256 rows, one crossing the batch
-        # boundary, and a 6-row tail that BLAS may round differently
+    def test_ragged_tokens_and_batch_of_two_equal_one_block_bit_for_bit(self, monkeypatch):
+        # 2 x 2,051 tokens: 15 blocks of 256 rows, one crossing the batch
+        # boundary, and a last block of 262 that takes the 6-row remainder,
+        # which BLAS would round differently on its own
         block = self.stage1_block()
         f = rand_normal((2, 7 * 293, 32), seed=24)
         m = rand_normal((2, 16, 512), seed=25)
         rows = self.gelu_rows(monkeypatch)
         untaped = clb(Tensor(f), Tensor(m), 7, 293, bind_params(block, None)[0], "sca", True)
-        assert rows == [256] * 16 + [6]
+        assert rows == [256] * 15 + [262]
         taped = clb(Tensor(f), Tensor(m), 7, 293, bind_params(block, Tape())[0], "sca", True)
         assert untaped.shape == taped.shape == f.shape
-        rel = np.abs(untaped.data - taped.data).max() / np.abs(taped.data).max()
-        assert rel <= 1e-12
+        assert np.array_equal(untaped.data.view(np.int64), taped.data.view(np.int64))
+
+    @pytest.mark.parametrize("tokens,blocks", [(511, [511]), (512, [256, 256]), (767, [256, 511])])
+    def test_last_block_takes_the_remainder(self, monkeypatch, tokens, blocks):
+        # default widths: C = 8, MLP hidden 32
+        params = init_decoder_params((8, 16, 32, 64), decoder_spec(init_std=0.5), 26)
+        f = rand_normal((1, tokens, 8), seed=27)
+        m = rand_normal((1, 4, 120), seed=28)
+        rows = self.gelu_rows(monkeypatch)
+        untaped = clb(Tensor(f), Tensor(m), 1, tokens, bind_params(params.clb[0], None)[0], "sca", True)
+        assert rows == blocks
+        taped = clb(Tensor(f), Tensor(m), 1, tokens, bind_params(params.clb[0], Tape())[0], "sca", True)
+        assert np.array_equal(untaped.data.view(np.int64), taped.data.view(np.int64))
 
     def test_default_config_runs_one_block_per_stage(self, monkeypatch):
         cfg = resolve_config({})

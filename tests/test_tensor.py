@@ -596,7 +596,7 @@ class TestGradients:
         assert op_gradcheck(build, arrays, seed=seed) < GRADCHECK_TOL
 
     @pytest.mark.parametrize("op", [relu, gelu, sigmoid])
-    @pytest.mark.parametrize("seed,shape", [(40, (3, 4)), (41, (2, 2, 2)), (42, (7,)), (43, (1, 5)), (44, (4, 3))])
+    @pytest.mark.parametrize("seed,shape", [(40, (3, 4)), (41, (2, 2, 2)), (42, (7,)), (43, (1, 5)), (44, (4, 3)), (149, ())])
     def test_elementwise_activations(self, op, seed, shape):
         assert op_gradcheck(op, [rand_uniform(shape, seed=seed)], seed=seed) < GRADCHECK_TOL
 
