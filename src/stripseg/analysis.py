@@ -4,7 +4,8 @@ Costs are multiply-accumulate counts. The closed forms price only the
 attention score and weighted-sum stages; projections, softmax and
 normalization are excluded there, matching the granularity of the counted
 "attention-stage" figure. Totals including projections are reported
-separately.
+separately. A case (AttnConfig, or the BenchSettings `stripseg bench` times)
+checks its fields and the arrays it forms on construction, as PyramidSpec does.
 
 Closed forms for N_q = N_kv = N and value width C:
   full-width attention:  2 * N^2 * C
@@ -20,12 +21,12 @@ import csv
 import io
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .attention import MIXER_KINDS, cross_attention, init_mixer_params
 from .decoder import DecoderParams, decode
-from .synth import FeaturePyramid, normal_array, substream
+from .synth import FeaturePyramid, _addressable_by, _as_int, _require, normal_array, substream
 from .tensor import Tensor, bind_params, count_macs
 
 # Fewest timed repetitions and warm-up runs a wall-time median is taken over.
@@ -48,14 +49,60 @@ CSV_COLUMNS = [
 ]
 
 
+def _attn_arrays(n_q: int, n_kv: int, c_q: int, c_kv: int, h: int, d: int, paths: dict[str, str]) -> None:
+    """_addressable_by on the inputs, projection weights and scores that
+    count_flops and bench_mixer form for a case with any mixer ("sa" attends
+    over its queries; strip qk weights are the smallest). paths maps each
+    AttnConfig field to the name of the setting it comes from."""
+    for side, n, c in (("q", n_q, c_q), ("kv", n_kv, c_kv)):
+        n_path, c_path = paths[f"n_{side}"], paths[f"c_{side}"]
+        _addressable_by((1, n, c), {n_path: n, c_path: c}, f"{side} input")
+        _addressable_by((h * d, c), {paths["heads"]: h, paths["dim_head"]: d, c_path: c}, f"{side} projection")
+        _addressable_by((h, n_q, n), {paths["heads"]: h, paths["n_q"]: n_q, n_path: n}, f"{side} scores")
+
+
 @dataclass(frozen=True)
 class AttnConfig:
+    """One attention case at batch 1. Construction checks that every field is
+    an int >= 1 and numpy can hold every array the case forms, and raises
+    ValueError("<field>: <message>")."""
+
     n_q: int
     n_kv: int
     c_q: int
     c_kv: int
     heads: int
     dim_head: int
+
+    def __post_init__(self) -> None:
+        names = [f.name for f in fields(self)]
+        _attn_arrays(*(_as_int(getattr(self, name), name, 1) for name in names), dict(zip(names, names)))
+
+
+@dataclass(frozen=True)
+class BenchSettings:
+    """The square case `stripseg bench` times for each mixer. Construction
+    checks each field, that heads divides channels and that numpy can hold
+    every array the case forms, and raises ValueError("<field>: <message>")."""
+
+    n_tokens: int
+    channels: int
+    heads: int
+    repeats: int
+    warmup: int
+
+    def __post_init__(self) -> None:
+        floors = dict(n_tokens=1, channels=1, heads=1, repeats=MIN_REPEATS, warmup=MIN_WARMUP)
+        n, c, h, _, _ = (_as_int(getattr(self, name), name, floor) for name, floor in floors.items())
+        _require(c % h == 0, "channels", "must divide by bench.heads")
+        n_path, c_path = "n_tokens", "channels"  # attn_config's dim_head is channels // heads
+        paths = dict(n_q=n_path, n_kv=n_path, c_q=c_path, c_kv=c_path, heads="heads", dim_head=c_path)
+        _attn_arrays(n, n, c, c, h, c // h, paths)
+
+    def attn_config(self) -> AttnConfig:
+        """The square attention case `stripseg bench` times for each mixer."""
+        n, c = self.n_tokens, self.channels
+        return AttnConfig(n_q=n, n_kv=n, c_q=c, c_kv=c, heads=self.heads, dim_head=c // self.heads)
 
 
 @dataclass
@@ -74,8 +121,6 @@ class BenchResult:
     mixer: str
     config: AttnConfig
     wall_ns_median: int
-    flops_per_sec: float
-    counted_total_flops: int
 
 
 def closed_form_flops(mixer_kind: str, n_q: int, n_kv: int, c: int) -> int:
@@ -138,8 +183,6 @@ def bench_mixer(
     if warmup < MIN_WARMUP:
         raise ValueError(f"benchmark needs at least {MIN_WARMUP} warm-up runs")
     xq, xkv, bound = _build_case(mixer_kind, cfg, seed)
-    with count_macs() as mc:
-        _run_mixer(mixer_kind, xq, xkv, bound)
     for _ in range(warmup):
         _run_mixer(mixer_kind, xq, xkv, bound)
     times = []
@@ -147,14 +190,7 @@ def bench_mixer(
         t0 = time.perf_counter_ns()
         _run_mixer(mixer_kind, xq, xkv, bound)
         times.append(time.perf_counter_ns() - t0)
-    wall = int(statistics.median(times))
-    return BenchResult(
-        mixer=mixer_kind,
-        config=cfg,
-        wall_ns_median=wall,
-        flops_per_sec=mc.total / (wall * 1e-9) if wall else float("inf"),
-        counted_total_flops=mc.total,
-    )
+    return BenchResult(mixer=mixer_kind, config=cfg, wall_ns_median=int(statistics.median(times)))
 
 
 def decode_macs(pyramid: FeaturePyramid, params: DecoderParams) -> int:

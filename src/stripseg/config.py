@@ -3,7 +3,8 @@
 Every experiment is a single JSON document. Unknown keys are hard errors so
 typos cannot silently fall back to defaults, and the resolved configuration
 (defaults included) is always written back out, so implicit choices like the
-normalization epsilon stay visible in artifacts.
+normalization epsilon stay visible in artifacts. Each section's type checks
+that section; only the rules across sections are written here.
 """
 
 from __future__ import annotations
@@ -13,27 +14,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .analysis import MIN_REPEATS, MIN_WARMUP, AttnConfig
+from .analysis import AttnConfig, BenchSettings
 from .decoder import DecoderParams, DecoderSpec, init_decoder_params
-from .synth import FeaturePyramid, PyramidSpec, _addressable, _as_int, _require, generate_pyramid
+from .synth import FeaturePyramid, PyramidSpec, _addressable, _addressable_by, _as_int, _require, generate_pyramid
 
 
 class ConfigError(ValueError):
     """Invalid run configuration; message names the offending field."""
-
-
-@dataclass
-class BenchSettings:
-    n_tokens: int
-    channels: int
-    heads: int
-    repeats: int
-    warmup: int
-
-    def attn_config(self) -> AttnConfig:
-        """The square attention case `stripseg bench` times for each mixer."""
-        n, c = self.n_tokens, self.channels
-        return AttnConfig(n_q=n, n_kv=n, c_q=c, c_kv=c, heads=self.heads, dim_head=c // self.heads)
 
 
 @dataclass
@@ -115,7 +102,7 @@ GRADCHECK_DEFAULTS: dict[str, Any] = _overlay(
 )
 
 # Defaults of one sweep entry; its keys are the AttnConfig fields.
-_SWEEP_ENTRY_DEFAULTS = AttnConfig(n_q=16, n_kv=16, c_q=32, c_kv=32, heads=1, dim_head=32)
+_SWEEP_ENTRY_DEFAULTS = asdict(AttnConfig(n_q=16, n_kv=16, c_q=32, c_kv=32, heads=1, dim_head=32))
 
 
 def resolve_config(doc: dict, defaults: Optional[dict] = None) -> RunConfig:
@@ -130,27 +117,9 @@ def resolve_config(doc: dict, defaults: Optional[dict] = None) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _weight(shape: tuple[int, ...], factors: dict[str, int], what: str) -> None:
-    """_addressable(shape), naming the setting whose factor is largest."""
-    _addressable(shape, max(factors, key=factors.get), what)
-
-
-def _attn_arrays(cfg: AttnConfig, paths: dict[str, str]) -> None:
-    """_weight on the inputs, projection weights and scores that count_flops
-    and bench_mixer form for cfg with any mixer ("sa" attends over its
-    queries; strip qk weights are the smallest). paths maps each AttnConfig
-    field to its document path."""
-    h, d = cfg.heads, cfg.dim_head
-    for side, n, c in (("q", cfg.n_q, cfg.c_q), ("kv", cfg.n_kv, cfg.c_kv)):
-        n_path, c_path = paths[f"n_{side}"], paths[f"c_{side}"]
-        _weight((1, n, c), {n_path: n, c_path: c}, f"{side} input")
-        _weight((h * d, c), {paths["heads"]: h, paths["dim_head"]: d, c_path: c}, f"{side} projection")
-        _weight((h, cfg.n_q, n), {paths["heads"]: h, paths["n_q"]: cfg.n_q, n_path: n}, f"{side} scores")
-
-
 def _resolve(base: dict) -> RunConfig:
-    """The RunConfig of a merged document. PyramidSpec and DecoderSpec check
-    their own sections; the rest of the rules are here."""
+    """The RunConfig of a merged document. Each section's type checks that
+    section; only the rules across sections are here."""
     seed = _as_int(base["seed"], "seed")
     if base["pyramid"]["seed"] is None:
         base["pyramid"]["seed"] = seed
@@ -168,12 +137,12 @@ def _resolve(base: dict) -> RunConfig:
         # value projection and MLP fc1; each is named by its largest factor.
         cross = decoder.cross_layer_enabled[i] and decoder.mixer != "sa"
         kv_name, c_kv = (widest, total_c) if cross else (f"pyramid.channels[{i}]", c)
-        _weight(
+        _addressable_by(
             (decoder.heads[i] * decoder.dim_head, c_kv),
             {f"decoder.heads[{i}]": decoder.heads[i], "decoder.dim_head": decoder.dim_head, kv_name: c_kv},
             f"stage {i + 1} value projection",
         )
-        _weight(
+        _addressable_by(
             (decoder.mlp_expansion * c, c),
             {"decoder.mlp_expansion": decoder.mlp_expansion, f"pyramid.channels[{i}]": c},
             f"stage {i + 1} MLP weight",
@@ -182,30 +151,16 @@ def _resolve(base: dict) -> RunConfig:
     _addressable(mask_shape, "decoder.num_classes", "mask")
     _addressable((decoder.num_classes, total_c), "decoder.num_classes", "fuse weight")
 
-    bench_doc = base["bench"]
-    bench = BenchSettings(
-        n_tokens=_as_int(bench_doc["n_tokens"], "bench.n_tokens", 1),
-        channels=_as_int(bench_doc["channels"], "bench.channels", 1),
-        heads=_as_int(bench_doc["heads"], "bench.heads", 1),
-        repeats=_as_int(bench_doc["repeats"], "bench.repeats", MIN_REPEATS),
-        warmup=_as_int(bench_doc["warmup"], "bench.warmup", MIN_WARMUP),
-    )
-    _require(bench.channels % bench.heads == 0, "bench.channels", "must divide by bench.heads")
-    n, c = "bench.n_tokens", "bench.channels"  # dim_head is channels // heads
-    _attn_arrays(bench.attn_config(), dict(n_q=n, n_kv=n, c_q=c, c_kv=c, heads="bench.heads", dim_head=c))
-
+    bench = _section("bench", BenchSettings, base["bench"])
     sweep_cfgs = None
     if base["sweep"] is not None:
         raw = base["sweep"]
         _require(isinstance(raw, list) and raw, "sweep", "must be a non-empty list")
         sweep_cfgs = []
-        entry_defaults = asdict(_SWEEP_ENTRY_DEFAULTS)
         for i, entry in enumerate(raw):
             _require(isinstance(entry, dict), f"sweep[{i}]", "must be an object")
-            _check_keys(entry, entry_defaults, f"sweep[{i}]")
-            merged = {**entry_defaults, **entry}
-            sweep_cfgs.append(AttnConfig(**{k: _as_int(merged[k], f"sweep[{i}].{k}", 1) for k in entry_defaults}))
-            _attn_arrays(sweep_cfgs[-1], {k: f"sweep[{i}].{k}" for k in entry_defaults})
+            _check_keys(entry, _SWEEP_ENTRY_DEFAULTS, f"sweep[{i}]")
+            sweep_cfgs.append(_section(f"sweep[{i}]", AttnConfig, {**_SWEEP_ENTRY_DEFAULTS, **entry}))
 
     output_dir = base["output_dir"]
     _require(isinstance(output_dir, str) and output_dir, "output_dir", "must be a non-empty string")

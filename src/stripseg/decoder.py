@@ -29,6 +29,7 @@ from .attention import (
     MIXER_KINDS,
     AttnOutput,
     AttnParams,
+    _init_linear,
     cross_attention,
     init_mixer_params,
     self_attention,
@@ -400,8 +401,8 @@ def _init_lpm(channels: int, reduction: int, stream, std: float) -> LPMParams:
         dw1_bias=np.zeros(channels),
         dw3_kernel=normal_array(stream, (channels, 3, 3)) * std,
         dw3_bias=np.zeros(channels),
-        fc1=LinearParams(normal_array(stream, (hidden, channels)) * std, np.zeros(hidden)),
-        fc2=LinearParams(normal_array(stream, (channels, hidden)) * std, np.zeros(channels)),
+        fc1=_init_linear(stream, hidden, channels, std),
+        fc2=_init_linear(stream, channels, hidden, std),
         dw_out_kernel=normal_array(stream, (channels,)) * std,
         dw_out_bias=np.zeros(channels),
     )
@@ -446,8 +447,8 @@ def init_decoder_params(
             ln3_beta=np.zeros(c),
             mixer=mixer,
             lpm=lpm_params,
-            mlp_fc1=LinearParams(normal_array(stream, (hidden, c)) * init_std, np.zeros(hidden)),
-            mlp_fc2=LinearParams(normal_array(stream, (c, hidden)) * init_std, np.zeros(c)),
+            mlp_fc1=_init_linear(stream, hidden, c, init_std),
+            mlp_fc2=_init_linear(stream, c, hidden, init_std),
         )
         if zero_residual:
             block.mixer.wo.weight[:] = 0.0
@@ -456,9 +457,5 @@ def init_decoder_params(
             block.ln2_gamma[:] = 0.0
         blocks.append(block)
 
-    fuse_stream = substream(seed, 100)
-    fuse = LinearParams(
-        normal_array(fuse_stream, (spec.num_classes, total_c)) * init_std,
-        np.zeros(spec.num_classes),
-    )
+    fuse = _init_linear(substream(seed, 100), spec.num_classes, total_c, init_std)
     return DecoderParams(clb=blocks, fuse_mlp=fuse, spec=spec)

@@ -28,8 +28,8 @@ _MAX_ELEMENTS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 _NORMAL_BLOCK = 1 << 12
 
 
-# Field checks for the spec types here and in decoder, and for config: each
-# raises ValueError("<field>: <message>") and returns the value to store.
+# Field checks for the setting types here, in decoder and in analysis, and for
+# config: each raises ValueError("<field>: <message>") and returns the value to store.
 def _require(cond: bool, field_name: str, message: str) -> None:
     if not cond:
         raise ValueError(f"{field_name}: {message}")
@@ -59,6 +59,11 @@ def _as_number(value: Any, field_name: str) -> float:
 def _addressable(shape: tuple[int, ...], field_name: str, what: str) -> None:
     count = math.prod(shape)
     _require(count <= _MAX_ELEMENTS, field_name, f"{what} {shape} holds {count} values, more than numpy can")
+
+
+def _addressable_by(shape: tuple[int, ...], factors: dict[str, int], what: str) -> None:
+    """_addressable(shape), naming the setting whose factor is largest."""
+    _addressable(shape, max(factors, key=factors.get), what)
 
 
 def _four(value: Any, field_name: str, check: Callable[..., Any], *args: Any) -> tuple:

@@ -480,7 +480,7 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     out = np.matmul(x.data, w.data.T)
     if p.bias is not None:
         out = out + p.bias.data
-    _tally((x.size // in_dim) * out_dim * in_dim, out.size)
+    _tally(x.size * out_dim, out.size)
 
     x_data, w_data = x.data, w.data
     has_bias = p.bias is not None

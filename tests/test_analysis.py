@@ -4,6 +4,7 @@ import pytest
 
 from stripseg.analysis import (
     AttnConfig,
+    BenchSettings,
     bench_mixer,
     closed_form_flops,
     count_flops,
@@ -126,7 +127,6 @@ class TestBench:
         cfg = AttnConfig(n_q=8, n_kv=8, c_q=8, c_kv=8, heads=2, dim_head=4)
         result = bench_mixer("sca", cfg, repeats=9, warmup=2)
         assert result.wall_ns_median > 0
-        assert result.flops_per_sec > 0
 
     def test_bench_repetition_floor(self):
         cfg = AttnConfig(4, 4, 4, 4, 1, 4)
@@ -134,6 +134,53 @@ class TestBench:
             bench_mixer("sa", cfg, repeats=5)
         with pytest.raises(ValueError):
             bench_mixer("sa", cfg, warmup=1)
+
+
+class TestCaseChecks:
+    FIELDS = dict(n_q=4, n_kv=4, c_q=8, c_kv=8, heads=1, dim_head=8)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("heads", 0, "heads: must be >= 1"),
+            ("dim_head", 0, "dim_head: must be >= 1"),
+            ("n_q", 4.0, "n_q: must be an integer"),
+            ("c_q", -1, "c_q: must be >= 1"),
+            ("n_kv", True, "n_kv: must be an integer"),
+            ("c_kv", 2**64, "c_kv: kv input (1, 4, 18446744073709551616) holds "),
+        ],
+    )
+    def test_attn_config_names_the_bad_field(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            AttnConfig(**{**self.FIELDS, field: value})
+        assert str(info.value).startswith(message)
+
+    def test_largest_score_factor_is_named(self):
+        with pytest.raises(ValueError, match=r"^n_kv: kv scores "):
+            AttnConfig(n_q=2**20, n_kv=2**41, c_q=1, c_kv=1, heads=1, dim_head=1)
+
+    def test_bench_settings_need_heads_to_divide_channels(self):
+        with pytest.raises(ValueError, match=r"^channels: "):
+            BenchSettings(n_tokens=16, channels=8, heads=3, repeats=9, warmup=2)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("n_tokens", 0, "n_tokens: must be >= 1"),
+            ("repeats", 8, "repeats: must be >= 9"),
+            ("warmup", 1, "warmup: must be >= 2"),
+            ("channels", 2**64, "channels: q input (1, 16, 18446744073709551616) holds "),
+        ],
+    )
+    def test_bench_settings_name_the_bad_field(self, field, value, message):
+        fields = dict(n_tokens=16, channels=8, heads=1, repeats=9, warmup=2)
+        with pytest.raises(ValueError) as info:
+            BenchSettings(**{**fields, field: value})
+        assert str(info.value).startswith(message)
+
+    def test_bench_case_is_square_and_split_over_heads(self):
+        cfg = BenchSettings(n_tokens=16, channels=8, heads=2, repeats=9, warmup=2).attn_config()
+        assert cfg == AttnConfig(n_q=16, n_kv=16, c_q=8, c_kv=8, heads=2, dim_head=4)
 
 
 class TestDecodeMacs:

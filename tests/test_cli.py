@@ -254,6 +254,20 @@ class TestFlops:
         cfg2 = write_config(tmp_path, {"sweep": []}, name="empty.json")
         assert main(["flops", "--config", cfg2]) == 2
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"bench": {"heads": 3}}, "config error: bench.channels: must divide by bench.heads\n"),
+            ({"bench": {"repeats": 3}}, "config error: bench.repeats: must be >= 9\n"),
+            ({"sweep": [{"n_q": 4}, {"dim_head": True}]}, "config error: sweep[1].dim_head: must be an integer\n"),
+        ],
+        ids=["bench-heads-3", "bench-repeats-3", "sweep-dim_head-true"],
+    )
+    def test_bad_case_settings_exit_with_one_line(self, tmp_path, capsys, doc, message):
+        cfg = write_config(tmp_path, doc)
+        assert main(["flops", "--config", cfg]) == 2
+        assert capsys.readouterr().err == message
+
 
 class TestBench:
     def test_emits_one_row_per_mixer(self, tmp_path, capsys):

@@ -6,6 +6,9 @@ return an exit code (0, 2 or 3) instead of raising, exit 0 must leave a finite
 mask, and a failed run must leave no output directory. Pyramids stay at most
 64x64 with small channels, and the only huge sizes are ones numpy refuses at
 once, so no example allocates much or runs long.
+
+The same values at the library boundary: an AttnConfig is either refused
+with a ValueError that names a field, or every mixer's cost can be counted.
 """
 
 import functools
@@ -20,6 +23,8 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from stripseg.analysis import AttnConfig, count_flops
+from stripseg.attention import MIXER_KINDS
 from stripseg.cli import main
 from stripseg.scat import load_scat
 
@@ -123,3 +128,32 @@ def test_forward_exits_cleanly_on_any_document(doc):
             assert np.isfinite(load_scat(out / "mask.scat")).all()
         else:
             assert not out.exists()
+
+
+CASE_FIELDS = ("n_q", "n_kv", "c_q", "c_kv", "heads", "dim_head")
+
+
+@st.composite
+def case_fields(draw):
+    """AttnConfig fields of at most 4, with up to two replaced by ODD values;
+    returns the fields and the names of those replaced."""
+    values = {name: draw(st.integers(1, 4)) for name in CASE_FIELDS}
+    replaced = draw(st.lists(st.sampled_from(CASE_FIELDS), max_size=2, unique=True))
+    for name in replaced:
+        values[name] = draw(ODD)
+    return values, replaced
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(case=case_fields())
+def test_attn_config_is_refused_by_field_or_counted(case):
+    values, replaced = case
+    try:
+        cfg = AttnConfig(**values)
+    except ValueError as exc:
+        event("refused")
+        assert str(exc).split(": ", 1)[0] in replaced
+        return
+    event("counted")
+    for mixer in MIXER_KINDS:
+        assert count_flops(mixer, cfg).counted_attn_flops > 0

@@ -407,6 +407,13 @@ class TestLinear:
             linear(Tensor(x), bound).data, np.einsum("bnk,ok->bno", x, w) + b, atol=1e-12
         )
 
+    def test_zero_width_input(self):
+        bound, _ = bind_params(LinearParams(np.zeros((3, 0)), None), None)
+        with count_macs() as mc:
+            out = linear(Tensor(np.zeros((2, 0))), bound)
+        np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
+        assert mc.total == 0
+
     def test_shape_mismatch(self):
         bound, _ = bind_params(LinearParams(np.zeros((3, 4)), None), None)
         with pytest.raises(ShapeError):
