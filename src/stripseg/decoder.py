@@ -226,14 +226,21 @@ def lpm(x: Tensor, h: int, w: int, p: LPMParams) -> Tensor:
     A 1x1 -> ReLU -> 3x3 depthwise stack extracts local detail; its pooled
     response drives a sigmoid channel gate; the gated detail re-enters
     through a final 1x1 depthwise conv on top of an identity shortcut.
+    Each intermediate is dropped once it is read; a taped call's nodes keep
+    what their backward reads.
     """
     c = x.shape[-1]
     xg = grid_from_tokens(x, h, w)
+    del x
     pre = relu(depthwise_conv(xg, reshape(p.dw1_kernel, (c, 1, 1)), p.dw1_bias))
     xd = depthwise_conv(pre, p.dw3_kernel, p.dw3_bias)
-    squeezed = global_avg_pool(xd)
-    gate = sigmoid(linear(relu(linear(squeezed, p.fc1)), p.fc2))
-    out = add(xg, depthwise_conv(scale_channels(xd, gate), reshape(p.dw_out_kernel, (c, 1, 1)), p.dw_out_bias))
+    del pre
+    gated = scale_channels(xd, sigmoid(linear(relu(linear(global_avg_pool(xd), p.fc1)), p.fc2)))
+    del xd
+    detail = depthwise_conv(gated, reshape(p.dw_out_kernel, (c, 1, 1)), p.dw_out_bias)
+    del gated
+    out = add(xg, detail)
+    del xg, detail
     return tokens_from_grid(out)
 
 
@@ -288,14 +295,16 @@ def clb(
     block into one output array, so the hidden activations of the whole
     stage never exist at once. A taped call, or one with fewer than
     2 * MLP_BLOCK_ROWS tokens, runs it as one block; the tape holds every
-    hidden for backward anyway.
+    hidden for backward anyway. The block input, the mixer's output and each
+    sub-block's input are dropped as soon as they have been read.
     """
-    att = mixer_branch(f, m, p, mixer_kind, eps, with_map=False)
-    z_g = add(att.out, f)
+    z_g = add(mixer_branch(f, m, p, mixer_kind, eps, with_map=False).out, f)
+    del f
     if lpm_enabled:
         z_gl = add(lpm(layernorm(z_g, p.ln2_gamma, p.ln2_beta, eps), h, w, p.lpm), z_g)
     else:
         z_gl = z_g
+    del z_g
     rows = z_gl.data.reshape(-1, z_gl.shape[-1])
     n, step = rows.shape[0], MLP_BLOCK_ROWS
     if z_gl.tape is not None or n < 2 * step:

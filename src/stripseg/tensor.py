@@ -12,12 +12,15 @@ to any active MacCounter. Softmax, normalization, pooling and resampling are
 deliberately uncounted; the complexity model only prices score/weighted-sum
 and projection stages.
 
-Memory: the row-wise kernels (softmax_lastdim, strip_attention, gelu) work
-one block of SOFTMAX_BLOCK values at a time, and depthwise_conv pads only in
-backward; its forward adds each tap into the in-range part of the output.
-Importing the module tunes glibc's malloc for the whole process
-(_retain_heap): freed heap stays mapped, so repeated decodes do not fault
-their working set in again.
+Memory: the row-wise kernels (softmax_lastdim, strip_attention, layernorm,
+gelu) work on one block of BLOCK_VALUES values at a time, and depthwise_conv
+on one group of whole channel planes of at most that many values (at least
+one plane); its forward adds each tap into the in-range part of the group's
+output, and only its backward pads. So an untaped kernel's scratch is one
+block: only outputs, and the arrays a taped call keeps for its backward,
+have the operands' size. Importing the module tunes glibc's malloc for the
+whole process (_retain_heap): freed heap stays mapped, so repeated decodes
+do not fault their working set in again.
 """
 
 from __future__ import annotations
@@ -58,11 +61,15 @@ def _retain_heap() -> bool:
     happen to lie in the heap, so any change to what ran before moves it.
     Trimming only past 1 GiB of free top lets each op reuse the last one's
     pages. Setting it also stops glibc raising its mmap threshold as large
-    blocks are freed, so that is pinned too: arrays of 8 MiB and more keep
-    their own mapping, returned on free. Put on the heap, freed ones leave
-    holes other sizes do not fill; with 32 MiB, the 512x1024 full-width
-    decode's peak RSS rose by a fifth. Returns whether both settings took;
-    without glibc it changes nothing.
+    blocks are freed, so that is pinned too: an array of 8 MiB or more that
+    freed heap cannot hold gets its own mapping, returned on free. Kernel
+    scratch is one block of BLOCK_VALUES values (256 KiB), so only whole
+    arrays are that large: at 512x1024, the 8-MiB stage-1 activations and
+    the full-width attention maps. Put on the heap, freed ones leave holes
+    other sizes do not fill: with a threshold of 8 MiB + 4 KiB, the
+    full-width decode's peak RSS rose from 389 to 440 MiB, and with 32 MiB
+    by a fifth. Returns whether both settings took; without glibc it
+    changes nothing.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -479,7 +486,7 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     out_dim, in_dim = w.shape
     out = np.matmul(x.data, w.data.T)
     if p.bias is not None:
-        out = out + p.bias.data
+        out += p.bias.data
     _tally(x.size * out_dim, out.size)
 
     x_data, w_data = x.data, w.data
@@ -497,8 +504,9 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     return _emit(out, inputs, backward_fn)
 
 
-# Values per block of softmax_lastdim, strip_attention and gelu.
-SOFTMAX_BLOCK = 1 << 15
+# Values per block of softmax_lastdim, strip_attention, layernorm,
+# depthwise_conv and gelu.
+BLOCK_VALUES = 1 << 15
 
 
 def _softmax_rows(src: np.ndarray, out: np.ndarray) -> None:
@@ -519,7 +527,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     out = np.empty(x.shape)
     rows_in = x.data.reshape(-1, n)
     rows_out = out.reshape(-1, n)
-    step = max(1, SOFTMAX_BLOCK // n)
+    step = max(1, BLOCK_VALUES // n)
     for r in range(0, rows_in.shape[0], step):
         _softmax_rows(rows_in[r : r + step], rows_out[r : r + step])
 
@@ -558,7 +566,7 @@ def strip_attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float) -> Tensor:
     _tally(map_elems, map_elems)  # the logit scale, in the caller's region
 
     out = np.empty((b, h, n_q, d))
-    step = max(1, SOFTMAX_BLOCK // n_kv)
+    step = max(1, BLOCK_VALUES // n_kv)
     buf = np.empty((b, h, min(step, n_q), n_kv))
     for r in range(0, n_q, step):
         blk = buf[:, :, : min(step, n_q - r)]
@@ -576,19 +584,39 @@ def strip_attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float) -> Tensor:
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the trailing channel axis to zero mean / unit variance, then affine."""
+    """Normalize the trailing channel axis to zero mean / unit variance, then affine.
+
+    Rows are independent, so each block of max(1, BLOCK_VALUES // C) rows
+    runs mean, center, variance, inverse deviation, normalize and affine
+    while it is in cache, writing into one output array: per row the same
+    operations in the same order as on the whole array. Untaped, a block's
+    normalized rows overwrite its centered ones; a taped call writes them,
+    and the inverse deviations, into the whole arrays its backward reads.
+    """
+    if x.data.ndim == 0 or x.shape[-1] < 1:
+        raise ShapeError(f"layernorm needs a channel extent >= 1, got {x.shape}")
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layernorm affine shapes {gamma.shape}/{beta.shape} != ({c},)")
     if eps <= 0:
         raise ValueError("layernorm eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    gamma_data = gamma.data
-    out = gamma_data * xhat + beta.data
+    gamma_data, beta_data = gamma.data, beta.data
+    taped = _common_tape((x, gamma, beta)) is not None
+    out = np.empty(x.shape)
+    rows_in, rows_out = x.data.reshape(-1, c), out.reshape(-1, c)
+    if taped:
+        xhat, inv_std = np.empty(x.shape), np.empty(x.shape[:-1] + (1,))
+        xhat_rows, inv_rows = xhat.reshape(-1, c), inv_std.reshape(-1, 1)
+    step = max(1, BLOCK_VALUES // c)
+    for r in range(0, rows_in.shape[0], step):
+        blk = rows_in[r : r + step]
+        centered = blk - blk.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+        if taped:
+            inv_rows[r : r + step] = inv
+        xh = np.multiply(centered, inv, out=xhat_rows[r : r + step] if taped else centered)
+        dst = np.multiply(gamma_data, xh, out=rows_out[r : r + step])
+        dst += beta_data
 
     def backward_fn(g):
         lead = tuple(range(g.ndim - 1))
@@ -609,13 +637,15 @@ def depthwise_conv(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> 
     """Per-channel spatial cross-correlation with zero same-padding.
 
     x is [B, C, H, W]; kernel is [C, kh, kw] with kh, kw in {1, 3}. Forward
-    pads nothing. Tap by tap in (dy, dx) order, it multiplies x, shifted by
-    the tap's offset along the flattened H*W axis, into one reused product
-    buffer, zeroes the products that wrapped around a row end, and adds the
-    buffer into the in-range span of a zeroed output; then it adds the bias
-    in place. The padded sum adds +-0 where this adds +0 or nothing, and an
-    output that starts at +0 never becomes -0, so for a finite kernel this
-    is bit for bit the padded sum. Only backward pads x.
+    pads nothing and works on one group of whole channel planes of one batch
+    item at a time, at most BLOCK_VALUES values and at least one plane. Tap
+    by tap in (dy, dx) order, it multiplies the group, shifted by the tap's
+    offset along the flattened H*W axis, into one reused product buffer,
+    zeroes the products that wrapped around a row end, and adds the buffer
+    into the in-range span of the group's zeroed output; then it adds the
+    bias in place. The padded sum adds +-0 where this adds +0 or nothing,
+    and an output that starts at +0 never becomes -0, so for a finite kernel
+    this is bit for bit the padded sum. Only backward pads x.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"depthwise_conv input must be [B,C,H,W], got {x.shape}")
@@ -630,26 +660,33 @@ def depthwise_conv(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> 
     ph, pw = kh // 2, kw // 2
     x_data, k_data = x.data, kernel.data
     x_flat = x_data.reshape(b, c, h * w)
-    out = np.zeros((b, c, h * w))
-    prod = np.empty(b * c * h * w)
+    # output j reads input j + shift; a tap's span holds every output whose
+    # input row is in range, less an end that would leave x
+    taps = []
     for dy in range(kh):
         for dx in range(kw):
-            # output j reads input j + shift; the span holds every output
-            # whose input row is in range, less an end that would leave x
             dr, dc = dy - ph, dx - pw
             lo = max(0, -dr) * w + max(0, -dc)
             hi = min(h, h - dr) * w - max(0, dc)
-            if lo >= hi or abs(dc) >= w:
-                continue
-            shift = dr * w + dc
-            dst = prod[: b * c * (hi - lo)].reshape(b, c, hi - lo)
-            np.multiply(k_data[:, dy, dx][None, :, None], x_flat[:, :, lo + shift : hi + shift], out=dst)
-            if dc:
-                # in either direction, every w-th product from w - 1 crossed a row end
-                dst[:, :, w - 1 :: w] = 0.0
-            out[:, :, lo:hi] += dst
-    if bias is not None:
-        out += bias.data[None, :, None]
+            if lo < hi and abs(dc) < w:
+                taps.append((dy, dx, lo, hi, dr * w + dc, dc != 0))
+    planes = max(1, BLOCK_VALUES // max(1, h * w))
+    out = np.empty((b, c, h * w))
+    prod = np.empty(min(planes, c) * h * w)
+    for n in range(b):
+        for c0 in range(0, c, planes):
+            group = out[n, c0 : c0 + planes]
+            x_group, k_group = x_flat[n, c0 : c0 + planes], k_data[c0 : c0 + planes]
+            group.fill(0.0)
+            for dy, dx, lo, hi, shift, wraps in taps:
+                dst = prod[: group.shape[0] * (hi - lo)].reshape(-1, hi - lo)
+                np.multiply(k_group[:, dy, dx, None], x_group[:, lo + shift : hi + shift], out=dst)
+                if wraps:
+                    # in either direction, every w-th product from w - 1 crossed a row end
+                    dst[:, w - 1 :: w] = 0.0
+                group[:, lo:hi] += dst
+            if bias is not None:
+                group += bias.data[c0 : c0 + planes, None]
     out = out.reshape(b, c, h, w)
     _tally(b * c * h * w * kh * kw, out.size)
     has_bias = bias is not None
@@ -756,17 +793,20 @@ def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * cdf with cdf = 0.5 * (1 + erf(x / sqrt(2))).
 
     erf is Cephes's (_erf), bit for bit scipy.special.erf. Each block of
-    SOFTMAX_BLOCK values runs every step while it is in cache. At -inf the
-    result is -0.0, as for every finite x below about -8.4, where cdf rounds
-    to 0, and the gradient is 0; at +inf they are inf and 1.
+    BLOCK_VALUES values runs every step while it is in cache. Only backward
+    reads cdf, so a taped call keeps it in a whole array and an untaped one
+    forms each block's cdf in its output block. At -inf the result is -0.0,
+    as for every finite x below about -8.4, where cdf rounds to 0, and the
+    gradient is 0; at +inf they are inf and 1.
     """
     x_data = x.data
     x_flat = x_data.reshape(-1)
-    cdf = np.empty(x.shape)
+    cdf = np.empty(x.shape) if x.tape is not None else None
     out = np.empty(x.shape)
-    cdf_flat, out_flat = cdf.reshape(-1), out.reshape(-1)
-    for s in range(0, x_flat.size, SOFTMAX_BLOCK):
-        blk = slice(s, s + SOFTMAX_BLOCK)
+    out_flat = out.reshape(-1)
+    cdf_flat = out_flat if cdf is None else cdf.reshape(-1)
+    for s in range(0, x_flat.size, BLOCK_VALUES):
+        blk = slice(s, s + BLOCK_VALUES)
         x_blk, cdf_blk, out_blk = x_flat[blk], cdf_flat[blk], out_flat[blk]
         _erf(x_blk / math.sqrt(2.0), out=cdf_blk)
         cdf_blk += 1.0

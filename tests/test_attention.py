@@ -139,7 +139,7 @@ class TestFusedStripAttention:
     @pytest.mark.parametrize("scale", [1.0, 0.37])
     def test_several_blocks_and_a_ragged_last_one(self, monkeypatch, block, scale):
         # 7 queries over 5 keys: blocks of 2 rows (the last one holds 1) or 1
-        monkeypatch.setattr(tensor_module, "SOFTMAX_BLOCK", block)
+        monkeypatch.setattr(tensor_module, "BLOCK_VALUES", block)
         xq, xkv, p = fused_case(61, 7, 5, 3, scale)
         bound = bind_params(p, None)[0]
         fused = cross_attention(Tensor(xq), Tensor(xkv), bound, with_map=False)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -162,20 +163,20 @@ class TestSoftmax:
     def test_row_blocks_equal_unblocked_chain(self, monkeypatch, shape, block):
         # blocks of one row, several rows, a partial last block and rows
         # longer than a block all give the unblocked chain's bits
-        monkeypatch.setattr(tensor_module, "SOFTMAX_BLOCK", block)
+        monkeypatch.setattr(tensor_module, "BLOCK_VALUES", block)
         x = rand_uniform(shape, seed=7) * 30.0
         shifted = x - x.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         np.testing.assert_array_equal(softmax_lastdim(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
 
     def test_non_contiguous_input(self, monkeypatch):
-        monkeypatch.setattr(tensor_module, "SOFTMAX_BLOCK", 10)
+        monkeypatch.setattr(tensor_module, "BLOCK_VALUES", 10)
         x = rand_uniform((6, 5), seed=8).T
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         np.testing.assert_array_equal(softmax_lastdim(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
 
     def test_blocked_rows_match_scalar_loop(self, monkeypatch):
-        monkeypatch.setattr(tensor_module, "SOFTMAX_BLOCK", 16)
+        monkeypatch.setattr(tensor_module, "BLOCK_VALUES", 16)
         x = rand_uniform((9, 7), seed=9) * 20.0
         out = softmax_lastdim(Tensor(x)).data
         for r in range(9):
@@ -212,6 +213,48 @@ class TestLayernorm:
         np.testing.assert_allclose(base, shifted, atol=1e-10)
         scaled = layernorm(Tensor(3.0 * x), gamma, beta).data
         np.testing.assert_allclose(base, scaled, rtol=5e-6, atol=5e-6)
+
+    def test_needs_a_channel_axis(self):
+        for shape in [(), (3, 0)]:
+            with pytest.raises(ShapeError):
+                layernorm(Tensor(np.zeros(shape)), Tensor(np.zeros(0)), Tensor(np.zeros(0)))
+
+    @staticmethod
+    def run(x, gamma, beta, taped):
+        """Forward bytes and, taped, the gradients of a random projection."""
+        if not taped:
+            return layernorm(Tensor(x), Tensor(gamma), Tensor(beta), 1e-6).data, []
+        tape = Tape()
+        leaves = [tape.leaf(a) for a in (x, gamma, beta)]
+        out = layernorm(*leaves, 1e-6)
+        grads = backward(tape, sum_all(mul(out, Tensor(rand_normal(x.shape, 23)))))
+        return out.data, [grads[leaf.tid].data for leaf in leaves]
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize("block", [20, 3], ids=["4-rows", "1-row"])
+    def test_row_blocks_equal_one_block(self, monkeypatch, taped, block):
+        # 21 rows of 5 channels: six blocks of 4 rows (the last holds 1), or
+        # a block smaller than a row, which still takes one row
+        x = rand_normal((3, 7, 5), 20) * 4.0 + 1.5
+        gamma, beta = rand_normal((5,), 21), rand_normal((5,), 22)
+        one_out, one_grads = self.run(x, gamma, beta, taped)
+        monkeypatch.setattr(tensor_module, "BLOCK_VALUES", block)
+        out, grads = self.run(x, gamma, beta, taped)
+        assert_same_bits(out, one_out)
+        assert_same_bits(out, self.run(x, gamma, beta, not taped)[0])
+        for got, want in zip(grads, one_grads, strict=True):
+            assert_same_bits(got, want)
+
+    def test_blocked_rows_match_scalar_loop(self, monkeypatch):
+        monkeypatch.setattr(tensor_module, "BLOCK_VALUES", 18)  # 3 rows a block, the last holds 2
+        x = rand_normal((11, 6), 24) * 3.0 - 2.0
+        gamma, beta = rand_normal((6,), 25), rand_normal((6,), 26)
+        out = layernorm(Tensor(x), Tensor(gamma), Tensor(beta), 1e-6).data
+        for r, row in enumerate(x.tolist()):
+            mu = sum(row) / len(row)
+            inv = 1.0 / math.sqrt(sum((v - mu) ** 2 for v in row) / len(row) + 1e-6)
+            want = [g * (v - mu) * inv + b for v, g, b in zip(row, gamma, beta)]
+            np.testing.assert_allclose(out[r], want, rtol=1e-13, atol=1e-14)
 
 
 class TestDepthwiseConv:
@@ -310,6 +353,24 @@ class TestDepthwiseConv:
         out = depthwise_conv(Tensor(x), Tensor(kernel), Tensor(bias)).data
         assert_same_bits(out, self.padded_forward(x, kernel, bias))
         assert np.isfinite(out).any()
+
+    @pytest.mark.parametrize("kernel_hw", [(1, 1), (1, 3), (3, 1), (3, 3)])
+    @pytest.mark.parametrize("shape", [(2, 5, 4, 3), (2, 5, 1, 6), (2, 5, 6, 1)])
+    @pytest.mark.parametrize("planes", [2, 0], ids=["2-planes", "under-a-plane"])
+    def test_channel_groups_equal_one_group(self, monkeypatch, kernel_hw, shape, planes):
+        # 5 channels in groups of 2 planes (the last holds 1), or a block
+        # smaller than a plane, which still takes one plane, per batch item
+        c, hw = shape[1], shape[2] * shape[3]
+        x = np.round(rand_normal(shape, 69), 1)
+        kernel = np.round(rand_normal((c, *kernel_hw), 70), 1)
+        bias = np.round(rand_normal((c,), 71), 1)
+        one_group = depthwise_conv(Tensor(x), Tensor(kernel), Tensor(bias)).data
+        monkeypatch.setattr(tensor_module, "BLOCK_VALUES", planes * hw if planes else hw - 1)
+        out = depthwise_conv(Tensor(x), Tensor(kernel), Tensor(bias)).data
+        assert_same_bits(out, one_group)
+        assert_same_bits(out, self.padded_forward(x, kernel, bias))
+        out_no_bias = depthwise_conv(Tensor(x), Tensor(kernel)).data
+        assert_same_bits(out_no_bias, self.padded_forward(x, kernel, np.zeros(c)))
 
 
 class TestPooling:
@@ -536,7 +597,7 @@ class TestGradients:
         assert op_gradcheck(softmax_lastdim, [rand_uniform(shape, seed=seed)], seed=seed) < GRADCHECK_TOL
 
     def test_softmax_in_row_blocks(self, monkeypatch):
-        monkeypatch.setattr(tensor_module, "SOFTMAX_BLOCK", 8)
+        monkeypatch.setattr(tensor_module, "BLOCK_VALUES", 8)
         assert op_gradcheck(softmax_lastdim, [rand_uniform((5, 3, 4), seed=65)], seed=65) < GRADCHECK_TOL
 
     @pytest.mark.parametrize("a_shape,b_shape", [((4, 1), (1, 3)), ((2, 3, 1), (1, 1, 5))])
@@ -561,6 +622,11 @@ class TestGradients:
         c = shape[-1]
         arrays = [rand_uniform(shape, seed=seed), rand_uniform((c,), seed=seed + 70), rand_uniform((c,), seed=seed + 80)]
         assert op_gradcheck(lambda x, g, b: layernorm(x, g, b, 1e-6), arrays, seed=seed) < GRADCHECK_TOL
+
+    def test_layernorm_in_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(tensor_module, "BLOCK_VALUES", 8)  # 2 rows a block, the last holds 1
+        arrays = [rand_uniform((5, 4), seed=155), rand_uniform((4,), seed=156), rand_uniform((4,), seed=157)]
+        assert op_gradcheck(lambda x, g, b: layernorm(x, g, b, 1e-6), arrays, seed=155) < GRADCHECK_TOL
 
     @pytest.mark.parametrize("seed,kh,shape", [(15, 3, (1, 2, 4, 4)), (16, 1, (2, 3, 3, 3)), (17, 3, (1, 1, 5, 3)), (18, 1, (1, 4, 2, 2)), (19, 3, (2, 2, 3, 4))])
     def test_depthwise_conv(self, seed, kh, shape):
@@ -716,6 +782,28 @@ class TestErf:
         x = rand_normal((5, 40_001), 3) * np.array([[0.1], [1.0], [3.0], [30.0], [1e200]])
         want = x * (0.5 * (1.0 + scipy_special.erf(x / math.sqrt(2.0))))
         assert_same_bits(gelu(Tensor(x)).data, want)
+
+    def test_untaped_gelu_holds_no_whole_cdf(self):
+        # only backward reads cdf: an untaped call forms it block by block
+        # in its output, a taped one keeps a whole array of it
+        # 64 blocks, so the few block-sized scratch arrays are ~0.1 outputs
+        x = rand_normal((64, 1 << 15), 6) * 3.0
+        outs, peaks = {}, {}
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            for taped in (False, True):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                outs[taped] = gelu(Tape().leaf(x) if taped else Tensor(x))
+                peaks[taped] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert_same_bits(outs[False].data, outs[True].data)
+        assert peaks[False] < 1.25 * x.nbytes, f"untaped gelu peaked at {peaks[False] / x.nbytes:.2f} outputs"
+        assert peaks[True] >= 2 * x.nbytes
 
     def test_gelu_of_huge_and_non_finite_inputs_warns_nothing(self):
         with warnings.catch_warnings():
