@@ -72,6 +72,13 @@ def _four(value: Any, field_name: str, check: Callable[..., Any], *args: Any) ->
     return tuple(check(v, f"{field_name}[{i}]", *args) for i, v in enumerate(value))
 
 
+def _stage(stage: Any) -> int:
+    """stage itself if it names one of the four pyramid stages, else ValueError."""
+    ok = isinstance(stage, int) and not isinstance(stage, bool) and 1 <= stage <= 4
+    _require(ok, "stage", f"{stage!r} is not one of 1..4")
+    return stage
+
+
 def splitmix64_next(state: int) -> tuple[int, int]:
     """One splitmix64 step: returns (output, new_state), all mod 2**64."""
     state = (state + _GOLDEN) & _MASK64
@@ -173,8 +180,8 @@ class PyramidSpec:
             _addressable(shape, names[shape.index(max(shape))], f"stage {stage} array")
 
     def stage_grid(self, stage: int) -> tuple[int, int]:
-        """Spatial extents of stage 1..4 (strides 4, 8, 16, 32)."""
-        f = 2 ** (stage + 1)
+        """Spatial extents of stage 1..4 (strides 4, 8, 16, 32); ValueError for any other."""
+        f = 2 ** (_stage(stage) + 1)
         return self.height // f, self.width // f
 
     def stage_shape(self, stage: int) -> tuple[int, int, int, int]:
@@ -190,7 +197,8 @@ class FeaturePyramid:
     features: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
     def stage(self, stage: int) -> np.ndarray:
-        return self.features[stage - 1]
+        """The array of stage 1..4; ValueError for any other."""
+        return self.features[_stage(stage) - 1]
 
 
 def generate_pyramid(spec: PyramidSpec) -> FeaturePyramid:

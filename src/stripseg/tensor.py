@@ -15,12 +15,12 @@ and projection stages.
 Memory: the row-wise kernels (softmax_lastdim, strip_attention, layernorm,
 gelu) work on one block of BLOCK_VALUES values at a time, and depthwise_conv
 on one group of whole channel planes of at most that many values (at least
-one plane); its forward adds each tap into the in-range part of the group's
-output, and only its backward pads. So an untaped kernel's scratch is one
-block: only outputs, and the arrays a taped call keeps for its backward,
-have the operands' size. Importing the module tunes glibc's malloc for the
-whole process (_retain_heap): freed heap stays mapped, so repeated decodes
-do not fault their working set in again.
+one plane); its forward and both its gradients add each tap into the
+in-range part of the group's output, so nothing is padded. So an untaped
+kernel's scratch is one block: only outputs, and the arrays a taped call
+keeps for its backward, have the operands' size. Importing the module tunes
+glibc's malloc for the whole process (_retain_heap): freed heap stays
+mapped, so repeated decodes do not fault their working set in again.
 """
 
 from __future__ import annotations
@@ -111,14 +111,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, taped={self.tape is not None})"
-
-
-def tensor(data) -> Tensor:
-    """Construct a constant Tensor from external data, rejecting non-finite values."""
-    t = Tensor(data)
-    if t.size and not np.isfinite(t.data).all():
-        raise ValueError("tensor data must be finite")
-    return t
 
 
 @dataclass
@@ -484,6 +476,8 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     if x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear input extent {x.shape[-1]} != weight in extent {w.shape[1]}")
     out_dim, in_dim = w.shape
+    if p.bias is not None and p.bias.shape != (out_dim,):
+        raise ShapeError(f"linear bias shape {p.bias.shape} != ({out_dim},)")
     out = np.matmul(x.data, w.data.T)
     if p.bias is not None:
         out += p.bias.data
@@ -598,8 +592,8 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layernorm affine shapes {gamma.shape}/{beta.shape} != ({c},)")
-    if eps <= 0:
-        raise ValueError("layernorm eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"layernorm eps must be finite and positive, got {eps}")
     gamma_data, beta_data = gamma.data, beta.data
     taped = _common_tape((x, gamma, beta)) is not None
     out = np.empty(x.shape)
@@ -633,19 +627,53 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
     return _emit(out, (x, gamma, beta), backward_fn)
 
 
+def _tap_sum(src: np.ndarray, k: np.ndarray, taps: list, bias: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum over taps of k[:, dy, dx] times src shifted by the tap, plus bias.
+
+    src is [B, C, H, W] and k is [C, kh, kw]; taps are depthwise_conv's
+    (dy, dx, lo, hi, shift, wraps). Works on one group of whole channel
+    planes of one batch item at a time, at most BLOCK_VALUES values and at
+    least one plane. Tap by tap in list order, it multiplies the group,
+    shifted by the tap's offset along the flattened H*W axis, into one
+    reused product buffer, zeroes the products that wrapped around a row
+    end, and adds the buffer into the in-range span of the group's zeroed
+    output; then it adds the bias in place. The padded sum adds +-0 where
+    this adds +0 or nothing, and an output that starts at +0 never becomes
+    -0, so for a finite k this is bit for bit the padded sum.
+    """
+    b, c, h, w = src.shape
+    src_flat = src.reshape(b, c, h * w)
+    planes = max(1, BLOCK_VALUES // max(1, h * w))
+    out = np.empty((b, c, h * w))
+    prod = np.empty(min(planes, c) * h * w)
+    for n in range(b):
+        for c0 in range(0, c, planes):
+            group = out[n, c0 : c0 + planes]
+            src_group, k_group = src_flat[n, c0 : c0 + planes], k[c0 : c0 + planes]
+            group.fill(0.0)
+            for dy, dx, lo, hi, shift, wraps in taps:
+                dst = prod[: group.shape[0] * (hi - lo)].reshape(-1, hi - lo)
+                np.multiply(k_group[:, dy, dx, None], src_group[:, lo + shift : hi + shift], out=dst)
+                if wraps:
+                    # in either direction, every w-th product from w - 1 crossed a row end
+                    dst[:, w - 1 :: w] = 0.0
+                group[:, lo:hi] += dst
+            if bias is not None:
+                group += bias[c0 : c0 + planes, None]
+    return out.reshape(b, c, h, w)
+
+
 def depthwise_conv(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Per-channel spatial cross-correlation with zero same-padding.
 
-    x is [B, C, H, W]; kernel is [C, kh, kw] with kh, kw in {1, 3}. Forward
-    pads nothing and works on one group of whole channel planes of one batch
-    item at a time, at most BLOCK_VALUES values and at least one plane. Tap
-    by tap in (dy, dx) order, it multiplies the group, shifted by the tap's
-    offset along the flattened H*W axis, into one reused product buffer,
-    zeroes the products that wrapped around a row end, and adds the buffer
-    into the in-range span of the group's zeroed output; then it adds the
-    bias in place. The padded sum adds +-0 where this adds +0 or nothing,
-    and an output that starts at +0 never becomes -0, so for a finite kernel
-    this is bit for bit the padded sum. Only backward pads x.
+    x is [B, C, H, W]; kernel is [C, kh, kw] with kh, kw in {1, 3}. Nothing
+    is padded: the forward and both gradients run _tap_sum over one tap
+    list. The input gradient is g correlated with the flipped kernel, taps
+    in reverse order, which adds the products in the padded backward's
+    order. A tap's kernel gradient sums g times x shifted by that tap alone
+    (a kernel of ones): x in range, but with -0 read as +0, and +0 where the
+    padding was. numpy sums any run of zeros to +0, so that sign never
+    shows in the sum.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"depthwise_conv input must be [B,C,H,W], got {x.shape}")
@@ -657,51 +685,26 @@ def depthwise_conv(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> 
     if bias is not None and bias.shape != (channels,):
         raise ShapeError(f"bias shape {bias.shape} != ({channels},)")
     b, c, h, w = x.shape
-    ph, pw = kh // 2, kw // 2
     x_data, k_data = x.data, kernel.data
-    x_flat = x_data.reshape(b, c, h * w)
     # output j reads input j + shift; a tap's span holds every output whose
     # input row is in range, less an end that would leave x
     taps = []
     for dy in range(kh):
         for dx in range(kw):
-            dr, dc = dy - ph, dx - pw
+            dr, dc = dy - kh // 2, dx - kw // 2
             lo = max(0, -dr) * w + max(0, -dc)
             hi = min(h, h - dr) * w - max(0, dc)
             if lo < hi and abs(dc) < w:
                 taps.append((dy, dx, lo, hi, dr * w + dc, dc != 0))
-    planes = max(1, BLOCK_VALUES // max(1, h * w))
-    out = np.empty((b, c, h * w))
-    prod = np.empty(min(planes, c) * h * w)
-    for n in range(b):
-        for c0 in range(0, c, planes):
-            group = out[n, c0 : c0 + planes]
-            x_group, k_group = x_flat[n, c0 : c0 + planes], k_data[c0 : c0 + planes]
-            group.fill(0.0)
-            for dy, dx, lo, hi, shift, wraps in taps:
-                dst = prod[: group.shape[0] * (hi - lo)].reshape(-1, hi - lo)
-                np.multiply(k_group[:, dy, dx, None], x_group[:, lo + shift : hi + shift], out=dst)
-                if wraps:
-                    # in either direction, every w-th product from w - 1 crossed a row end
-                    dst[:, w - 1 :: w] = 0.0
-                group[:, lo:hi] += dst
-            if bias is not None:
-                group += bias.data[c0 : c0 + planes, None]
-    out = out.reshape(b, c, h, w)
+    out = _tap_sum(x_data, k_data, taps, None if bias is None else bias.data)
     _tally(b * c * h * w * kh * kw, out.size)
     has_bias = bias is not None
 
     def backward_fn(g):
-        xp = np.pad(x_data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        gxp = np.zeros_like(xp)
-        gk = np.zeros((channels, kh, kw))
-        for dy in range(kh):
-            for dx in range(kw):
-                gxp[:, :, dy : dy + h, dx : dx + w] += (
-                    k_data[:, dy, dx][None, :, None, None] * g
-                )
-                gk[:, dy, dx] = (g * xp[:, :, dy : dy + h, dx : dx + w]).sum(axis=(0, 2, 3))
-        gx = gxp[:, :, ph : ph + h, pw : pw + w]
+        gx = _tap_sum(g, k_data[:, ::-1, ::-1], taps[::-1])
+        gk, ones = np.zeros((channels, kh, kw)), np.ones((channels, kh, kw))
+        for tap in taps:
+            gk[:, tap[0], tap[1]] = (g * _tap_sum(x_data, ones, [tap])).sum(axis=(0, 2, 3))
         if has_bias:
             return gx, gk, g.sum(axis=(0, 2, 3))
         return gx, gk

@@ -166,6 +166,19 @@ class TestPyramid:
         assert pyr.stage(2).shape == (1, 16, 8, 8)
         assert pyr.stage(3).shape == (1, 32, 4, 4)
         assert pyr.stage(4).shape == (1, 64, 2, 2)
+        for stage, grid in enumerate([(16, 16), (8, 8), (4, 4), (2, 2)], start=1):
+            assert spec.stage_grid(stage) == grid
+            assert spec.stage_shape(stage) == pyr.stage(stage).shape
+            assert pyr.stage(stage) is pyr.features[stage - 1]
+
+    @pytest.mark.parametrize("stage", [0, -1, 5])
+    def test_stage_outside_one_to_four_is_rejected(self, stage):
+        # 0 and -1 would index the stages from the end, and 5 past it
+        spec = PyramidSpec(height=64, width=64, channels=(8, 16, 32, 64))
+        pyr = generate_pyramid(spec)
+        for lookup in (spec.stage_grid, spec.stage_shape, pyr.stage):
+            with pytest.raises(ValueError, match=f"stage: {stage} is not one of 1..4"):
+                lookup(stage)
 
     def test_bitwise_reproducibility(self):
         spec = PyramidSpec(height=64, width=32, channels=(4, 8, 8, 16), batch=2, seed=777)

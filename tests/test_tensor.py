@@ -45,7 +45,6 @@ from stripseg.tensor import (
     slice_lastdim,
     softmax_lastdim,
     sum_all,
-    tensor,
     transpose,
 )
 
@@ -58,12 +57,6 @@ class TestTensorBasics:
         t = Tensor([1.0, 2.0])
         with pytest.raises(ValueError):
             t.data[0] = 5.0
-
-    def test_constructor_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            tensor([1.0, np.nan])
-        with pytest.raises(ValueError):
-            tensor([np.inf])
 
     def test_shape_and_size(self):
         t = Tensor(np.zeros((2, 3, 4)))
@@ -219,6 +212,13 @@ class TestLayernorm:
             with pytest.raises(ShapeError):
                 layernorm(Tensor(np.zeros(shape)), Tensor(np.zeros(0)), Tensor(np.zeros(0)))
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, np.nan, np.inf, -np.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        # nan would make every output nan, and inf an all-zero xhat
+        gamma, beta = self._affine(3)
+        with pytest.raises(ValueError, match="eps"):
+            layernorm(Tensor(rand_normal((2, 3), seed=72)), gamma, beta, eps)
+
     @staticmethod
     def run(x, gamma, beta, taped):
         """Forward bytes and, taped, the gradients of a random projection."""
@@ -328,6 +328,43 @@ class TestDepthwiseConv:
                 out += kernel[:, dy, dx][None, :, None, None] * xp[:, :, dy : dy + h, dx : dx + w]
         return out + bias[None, :, None, None]
 
+    @staticmethod
+    def padded_backward(x_data, k_data, g):
+        # the backward before it shared the forward's tap loop: every tap
+        # over a zero-padded x and a padded gradient, then a crop
+        channels, kh, kw = k_data.shape
+        h, w = x_data.shape[2:]
+        ph, pw = kh // 2, kw // 2
+        xp = np.pad(x_data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        gxp = np.zeros_like(xp)
+        gk = np.zeros((channels, kh, kw))
+        for dy in range(kh):
+            for dx in range(kw):
+                gxp[:, :, dy : dy + h, dx : dx + w] += (
+                    k_data[:, dy, dx][None, :, None, None] * g
+                )
+                gk[:, dy, dx] = (g * xp[:, :, dy : dy + h, dx : dx + w]).sum(axis=(0, 2, 3))
+        gx = gxp[:, :, ph : ph + h, pw : pw + w]
+        return gx, gk, g.sum(axis=(0, 2, 3))
+
+    @classmethod
+    def assert_backward_is_padded(cls, x, kernel, bias, g):
+        # a taped call's gx, gk and bias gradient for the upstream g, in
+        # g's own layout, against the padded reference byte for byte
+        tape = Tape()
+        depthwise_conv(*[tape.leaf(a) for a in (x, kernel, bias) if a is not None])
+        got = tape.nodes[-1].backward_fn(g)
+        assert len(got) == (2 if bias is None else 3)
+        for have, want in zip(got, cls.padded_backward(x, kernel, g)):
+            assert_same_bits(have, want)
+
+    @staticmethod
+    def upstream_grads(shape, seed):
+        # exact zeros; the same in Fortran order; and every sign bit set,
+        # where g * +0 is -0
+        g = np.round(rand_normal(shape, seed), 1)
+        return [g, np.asfortranarray(g), -np.abs(g)]
+
     @pytest.mark.parametrize("kernel_hw", [(1, 1), (1, 3), (3, 1), (3, 3)])
     @pytest.mark.parametrize("shape", [(2, 4, 9, 7), (1, 3, 1, 8), (2, 2, 6, 1), (1, 2, 2, 2)])
     def test_bit_equal_to_the_padded_forward(self, kernel_hw, shape):
@@ -340,6 +377,11 @@ class TestDepthwiseConv:
         assert_same_bits(out, self.padded_forward(x, kernel, bias))
         out_no_bias = depthwise_conv(Tensor(x), Tensor(kernel)).data
         assert_same_bits(out_no_bias, self.padded_forward(x, kernel, np.zeros(c)))
+        # and a channel of -0.0, which a kernel of ones reads as +0
+        x[:, -1] = -0.0
+        for g in self.upstream_grads(shape, 73):
+            self.assert_backward_is_padded(x, kernel, bias, g)
+            self.assert_backward_is_padded(x, kernel, None, g)
 
     @pytest.mark.parametrize("kernel_hw", [(1, 3), (3, 3)])
     def test_infinite_edge_inputs_do_not_wrap_to_the_next_row(self, kernel_hw):
@@ -353,6 +395,15 @@ class TestDepthwiseConv:
         out = depthwise_conv(Tensor(x), Tensor(kernel), Tensor(bias)).data
         assert_same_bits(out, self.padded_forward(x, kernel, bias))
         assert np.isfinite(out).any()
+        # backward, with the infinities in x, then in g as well, then in g
+        # only; gk's inf * 0 where the padding was is nan in both
+        g = -rand_uniform(x.shape, seed=74, lo=0.5, hi=1.5)
+        self.assert_backward_is_padded(x, kernel, bias, g)
+        g[:, :, 1::2, 0] = np.inf
+        g[:, :, ::2, -1] = -np.inf
+        with np.errstate(invalid="ignore"):
+            self.assert_backward_is_padded(x, kernel, bias, g)
+            self.assert_backward_is_padded(rand_uniform(x.shape, seed=75), kernel, bias, g)
 
     @pytest.mark.parametrize("kernel_hw", [(1, 1), (1, 3), (3, 1), (3, 3)])
     @pytest.mark.parametrize("shape", [(2, 5, 4, 3), (2, 5, 1, 6), (2, 5, 6, 1)])
@@ -371,6 +422,9 @@ class TestDepthwiseConv:
         assert_same_bits(out, self.padded_forward(x, kernel, bias))
         out_no_bias = depthwise_conv(Tensor(x), Tensor(kernel)).data
         assert_same_bits(out_no_bias, self.padded_forward(x, kernel, np.zeros(c)))
+        for g in self.upstream_grads(shape, 76):
+            self.assert_backward_is_padded(x, kernel, bias, g)
+            self.assert_backward_is_padded(x, kernel, None, g)
 
 
 class TestPooling:
@@ -479,6 +533,15 @@ class TestLinear:
         bound, _ = bind_params(LinearParams(np.zeros((3, 4)), None), None)
         with pytest.raises(ShapeError):
             linear(Tensor(np.zeros((2, 5))), bound)
+
+    @pytest.mark.parametrize("bias_shape", [(1,), (2, 3), (4,)])
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_bias_must_be_out_wide(self, bias_shape, taped):
+        # a (1,) bias would broadcast, and its leaf get a (3,) gradient
+        params = LinearParams(np.zeros((3, 4)), np.zeros(bias_shape))
+        bound, _ = bind_params(params, Tape() if taped else None)
+        with pytest.raises(ShapeError, match="bias"):
+            linear(Tensor(np.zeros((2, 4))), bound)
 
     @pytest.mark.parametrize("walk", [flatten_params, lambda p: bind_params(p, None)], ids=["flatten", "bind"])
     def test_bound_bundle_is_rejected(self, walk):
@@ -642,6 +705,11 @@ class TestGradients:
     def test_depthwise_conv_without_bias(self, seed, kernel_hw, shape):
         arrays = [rand_uniform(shape, seed=seed), rand_uniform((shape[1], *kernel_hw), seed=seed + 90)]
         assert op_gradcheck(depthwise_conv, arrays, seed=seed) < GRADCHECK_TOL
+
+    def test_depthwise_conv_in_channel_groups(self, monkeypatch):
+        monkeypatch.setattr(tensor_module, "BLOCK_VALUES", 2 * 4 * 3)  # 5 channels in groups of 2, 2, 1
+        arrays = [rand_uniform((2, 5, 4, 3), seed=158), rand_uniform((5, 3, 3), seed=159), rand_uniform((5,), seed=160)]
+        assert op_gradcheck(depthwise_conv, arrays, seed=158) < GRADCHECK_TOL
 
     @pytest.mark.parametrize("seed,shape", [(20, (1, 2, 3, 3)), (21, (2, 1, 4, 2)), (22, (1, 3, 2, 5)), (23, (2, 2, 2, 2)), (24, (1, 1, 6, 4))])
     def test_global_avg_pool(self, seed, shape):
