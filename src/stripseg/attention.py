@@ -13,15 +13,15 @@ head h's strip logit; value channels [h*dim_head, (h+1)*dim_head) belong to
 head h.
 
 A call returns its softmax map beside its output only on request
-(with_map=True, the default). A call that asks for no map, with qk width 1
-and no tape, runs tensor.strip_attention, which mixes the values one block
-of query rows at a time, softmaxed by softmax_lastdim's own row step, and
-never holds the whole map; decode asks for none,
-and DecodeTrace.attn builds the maps when they are read. Every other call
-runs the unfused chain matmul -> scalar_mul -> softmax_lastdim -> matmul,
-which is the fused kernel's reference; in it at most two map-sized buffers
-are alive at once: the logits are released once they are scaled, and the
-scaled logits once the softmax has run.
+(with_map=True, the default). An untaped call that asks for no map runs
+tensor.blocked_attention, whatever its qk width: it mixes the values one
+block of query rows at a time and never holds the whole map; decode asks
+for none, and DecodeTrace.attn builds the maps when they are read. Every
+other call, taped or map-returning, runs the unfused chain matmul ->
+scalar_mul -> softmax_lastdim -> matmul, which is the blocked kernel's
+reference; in it at most two map-sized buffers are alive at once: the
+logits are released once they are scaled, and the scaled logits once the
+softmax has run.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ from .tensor import (
     LinearParams,
     ShapeError,
     Tensor,
+    blocked_attention,
     linear,
     mac_region,
     matmul,
     reshape,
     scalar_mul,
     softmax_lastdim,
-    strip_attention,
     transpose,
 )
 
@@ -135,10 +135,12 @@ def cross_attention(xq: Tensor, xkv: Tensor, p: AttnParams, with_map: bool = Tru
     """As self-attention, but queries come from xq and keys/values from xkv.
 
     With qk width 1 (wq rows == heads) this is strip cross-attention. With
-    with_map=False the caller reads no map, and an untaped strip call
-    returns attn=None from the fused kernel; the output is the same up to
-    the rounding of the value mix, bit for bit where one block of rows
-    covers every query.
+    with_map=False the caller reads no map, and an untaped call returns
+    attn=None from tensor.blocked_attention. At full width its output is
+    the map-returning call's, bit for bit where BLAS rounds a block of query
+    rows as it rounds the whole matrix (always where one block covers every
+    query); with qk width 1 it differs only in the rounding of the softmax
+    normalization.
     """
     if xq.data.ndim != 3 or xkv.data.ndim != 3:
         raise ShapeError(f"attention inputs must be [B,N,C], got {xq.shape} and {xkv.shape}")
@@ -150,8 +152,8 @@ def cross_attention(xq: Tensor, xkv: Tensor, p: AttnParams, with_map: bool = Tru
         k_t = transpose(reshape(linear(xkv, p.wk), (b, n_kv, p.heads, qk)), (0, 2, 3, 1))
     with mac_region("v_proj"):
         v = _split_heads(linear(xkv, p.wv), p.heads, p.dim_head)
-    if not with_map and qk == 1 and all(t.tape is None for t in (q, k_t, v)):
-        mixed, attn = strip_attention(q, k_t, v, p.scale), None
+    if not with_map and all(t.tape is None for t in (q, k_t, v)):
+        mixed, attn = blocked_attention(q, k_t, v, p.scale), None
     else:
         with mac_region("attn_scores"):
             scores = matmul(q, k_t)

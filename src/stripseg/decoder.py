@@ -162,11 +162,12 @@ class DecodeTrace:
 
     The mixed key/value tokens, the decoded features and the mask are held.
     The attention maps are not: decode asks its mixers for none, so an
-    untaped strip decode never builds one, and `attn` builds all four on its
-    first read and caches them. It reruns mixer_branch, asking for the map,
-    on the pyramid's lateral features and the held mixed tokens, with the
-    parameters bound without a tape, so the maps are those of the unfused
-    chain, which a taped decode runs, and add no node to a decode's tape.
+    untaped decode of any mixer kind never builds one, and `attn` builds all
+    four on its first read and caches them. It reruns mixer_branch, asking
+    for the map, on the pyramid's lateral features and the held mixed
+    tokens, with the parameters bound without a tape, so the maps are those
+    of the unfused chain, which a taped decode runs, and add no node to a
+    decode's tape.
     The build reads the pyramid and parameter arrays as they are at that
     first read, so change neither in place before it.
     """
@@ -249,7 +250,7 @@ def mixer_branch(
 ) -> AttnOutput:
     """A block's token mixer on layer-normalized inputs, before its residual:
     queries from f, keys/values from m (from f for "sa"). with_map is the
-    mixer's: False lets an untaped strip mixer skip building its map."""
+    mixer's: False lets an untaped mixer skip building its map."""
     if mixer_kind not in MIXER_KINDS:
         raise ValueError(f"unknown mixer kind {mixer_kind!r}")
     q_in = layernorm(f, p.ln1_gamma, p.ln1_beta, eps)

@@ -2,9 +2,9 @@
 
 Every kernel is a pure function: it computes its result eagerly with numpy
 and, when any input lives on a Tape, records a node whose backward closure
-produces analytic input gradients. The one exception, strip_attention, is
-forward-only and refuses taped operands. Reduction orders inside each kernel
-are fixed, so repeated runs are bitwise identical.
+produces analytic input gradients. The one exception, blocked_attention,
+is forward-only and refuses taped operands. Reduction orders inside each
+kernel are fixed, so repeated runs are bitwise identical.
 
 Multiply-accumulate instrumentation: kernels that perform dense arithmetic
 (matmul, linear, depthwise_conv, elementwise multiplies) report MAC counts
@@ -12,10 +12,12 @@ to any active MacCounter. Softmax, normalization, pooling and resampling are
 deliberately uncounted; the complexity model only prices score/weighted-sum
 and projection stages.
 
-Memory: the row-wise kernels (softmax_lastdim, strip_attention, layernorm,
-gelu) work on one block of BLOCK_VALUES values at a time, and depthwise_conv
-on one group of whole channel planes of at most that many values (at least
-one plane); its forward and both its gradients add each tap into the
+Memory: the row-wise kernels (softmax_lastdim, layernorm, gelu) work on
+one block of BLOCK_VALUES values at a time; blocked_attention on one block
+of query rows of every (batch, head) slice, at most BLOCK_VALUES logits per
+slice, so it never holds a whole attention map; and depthwise_conv on one
+group of whole channel planes of at most BLOCK_VALUES values (at least one
+plane); its forward and both its gradients add each tap into the
 in-range part of the group's output, so nothing is padded. So an untaped
 kernel's scratch is one block: only outputs, and the arrays a taped call
 keeps for its backward, have the operands' size. Importing the module tunes
@@ -63,12 +65,13 @@ def _retain_heap() -> bool:
     pages. Setting it also stops glibc raising its mmap threshold as large
     blocks are freed, so that is pinned too: an array of 8 MiB or more that
     freed heap cannot hold gets its own mapping, returned on free. Kernel
-    scratch is one block of BLOCK_VALUES values (256 KiB), so only whole
-    arrays are that large: at 512x1024, the 8-MiB stage-1 activations and
-    the full-width attention maps. Put on the heap, freed ones leave holes
-    other sizes do not fill: with a threshold of 8 MiB + 4 KiB, the
-    full-width decode's peak RSS rose from 389 to 440 MiB, and with 32 MiB
-    by a fifth. Returns whether both settings took; without glibc it
+    scratch is one block of BLOCK_VALUES values (256 KiB), per (batch, head)
+    slice in blocked_attention, so in an untaped decode only whole arrays
+    are that large: at 512x1024, the 8-MiB stage-1 activations. Put on the
+    heap, freed ones leave holes other sizes do not fill: when the
+    full-width decode still formed its 128-MiB stage-1 maps, a threshold of
+    8 MiB + 4 KiB raised its peak RSS from 389 to 440 MiB, and one of
+    32 MiB by a fifth. Returns whether both settings took; without glibc it
     changes nothing.
     """
     try:
@@ -498,8 +501,8 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     return _emit(out, inputs, backward_fn)
 
 
-# Values per block of softmax_lastdim, strip_attention, layernorm,
-# depthwise_conv and gelu.
+# Values per block of softmax_lastdim, layernorm, depthwise_conv and gelu,
+# and per (batch, head) slice of a blocked_attention block.
 BLOCK_VALUES = 1 << 15
 
 
@@ -531,47 +534,69 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return _emit(out, (x,), backward_fn)
 
 
-def strip_attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float) -> Tensor:
-    """softmax(scale * q @ k_t) @ v for qk width 1, without the whole map.
+def blocked_attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float) -> Tensor:
+    """softmax(scale * q @ k_t) @ v at any qk width, without the whole map.
 
-    q is [B, H, N_q, 1], k_t [B, H, 1, N_kv] and v [B, H, N_kv, d]; the
-    result is [B, H, N_q, d]. The chain matmul -> scalar_mul ->
-    softmax_lastdim -> matmul is the reference: per row this runs the same
-    operations in the same order, softmax_lastdim's row step included, on
-    one block of query rows of every (batch, head) slice at a time in one
-    reused buffer, and tallies the MACs and output sizes the four chained
-    kernels tally, in attention's regions. Forward only: a tape needs the
-    map, so taped callers use the chain.
+    q is [B, H, N_q, qk], k_t [B, H, qk, N_kv] and v [B, H, N_kv, d]; the
+    result is [B, H, N_q, d]. It works on one block of query rows of every
+    (batch, head) slice at a time, in reused buffers, and tallies the MACs
+    and output sizes that its reference, the chain matmul -> scalar_mul ->
+    softmax_lastdim -> matmul, tallies, in attention's regions. Forward
+    only: a tape needs the map, so taped callers use the chain.
+
+    At qk width > 1 a block runs the chain's own steps on its rows: the
+    logits matmul, the scale, softmax_lastdim's row step and the value mix.
+    At qk width 1 each row's logits are rank one, scale * (q * k_m), and
+    rounding is monotone, so the chain's row max is the larger of
+    scale * (q * kmax) and scale * (q * kmin), bit for bit. A block subtracts
+    that shift and takes exp; one GEMM against [v | 1] then gives the
+    unnormalized mix and the row sums, and the mix is divided by them
+    (deferred normalization: Milakov & Gimelshein 2018, arXiv 1805.02867).
+    The shifted row holds an exact 1, so its sum is at least 1. Each logit
+    is one rounded product, as in the chain's K=1 matmul; only an exact
+    zero can differ, in sign, and exp does not tell the two zeros apart.
+    So the strip result differs from the chain's only in the rounding of
+    the row sums and of the normalization.
     """
     if q.data.ndim != 4 or k_t.data.ndim != 4 or v.data.ndim != 4:
-        raise ShapeError(f"strip_attention needs 4-d operands, got {q.shape}, {k_t.shape}, {v.shape}")
+        raise ShapeError(f"blocked_attention needs 4-d operands, got {q.shape}, {k_t.shape}, {v.shape}")
     b, h, n_q, qk = q.shape
     n_kv, d = k_t.shape[-1], v.shape[-1]
-    if qk != 1 or n_kv < 1 or k_t.shape != (b, h, 1, n_kv) or v.shape != (b, h, n_kv, d):
+    if n_kv < 1 or k_t.shape != (b, h, qk, n_kv) or v.shape != (b, h, n_kv, d):
         raise ShapeError(
-            f"strip_attention needs [B,H,N_q,1] x [B,H,1,N_kv>=1] x [B,H,N_kv,d], "
+            f"blocked_attention needs [B,H,N_q,qk] x [B,H,qk,N_kv>=1] x [B,H,N_kv,d], "
             f"got {q.shape}, {k_t.shape}, {v.shape}"
         )
     if _common_tape((q, k_t, v)) is not None:
-        raise ValueError("strip_attention has no backward; use the unfused chain on a tape")
+        raise ValueError("blocked_attention has no backward; use the unfused chain on a tape")
     map_elems = b * h * n_q * n_kv
     with mac_region("attn_scores"):
-        _tally(map_elems, map_elems)
+        _tally(map_elems * qk, map_elems)
     _tally(map_elems, map_elems)  # the logit scale, in the caller's region
 
+    q_data, k_data, v_data = q.data, k_t.data, v.data
     out = np.empty((b, h, n_q, d))
     step = max(1, BLOCK_VALUES // n_kv)
     buf = np.empty((b, h, min(step, n_q), n_kv))
+    logits = np.multiply if qk == 1 else np.matmul
+    if qk == 1:
+        kmax, kmin = k_data.max(axis=-1, keepdims=True), k_data.min(axis=-1, keepdims=True)
+        v_data = np.concatenate((v_data, np.ones((b, h, n_kv, 1))), axis=-1)
+        mix_buf = np.empty((b, h, min(step, n_q), d + 1))  # per row: unnormalized mix, row sum
     for r in range(0, n_q, step):
-        blk = buf[:, :, : min(step, n_q - r)]
-        # Each logit is one rounded product, as in the chain's K=1 matmul;
-        # only an exact zero can differ, in sign (BLAS adds products to
-        # +0.0), and the softmax does not tell the two zeros apart.
-        np.multiply(q.data[:, :, r : r + step], k_t.data, out=blk)
+        rows = slice(r, r + step)
+        blk, q_rows = buf[:, :, : min(step, n_q - r)], q_data[:, :, rows]
+        logits(q_rows, k_data, out=blk)
         if scale != 1.0:
             blk *= scale
-        _softmax_rows(blk, blk)
-        np.matmul(blk, v.data, out=out[:, :, r : r + step])
+        if qk == 1:
+            blk -= np.maximum(q_rows * kmax * scale, q_rows * kmin * scale)
+            np.exp(blk, out=blk)
+            mixed = np.matmul(blk, v_data, out=mix_buf[:, :, : blk.shape[2]])
+            np.divide(mixed[..., :d], mixed[..., d:], out=out[:, :, rows])
+        else:
+            _softmax_rows(blk, blk)
+            np.matmul(blk, v_data, out=out[:, :, rows])
     with mac_region("attn_mix"):
         _tally(b * h * n_q * d * n_kv, out.size)
     return Tensor(out)
@@ -718,6 +743,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool input must be [B,C,H,W], got {x.shape}")
     b, c, h, w = x.shape
+    if h * w == 0:
+        raise ShapeError(f"global_avg_pool needs a non-empty plane, got {h}x{w}")
     out = x.data.mean(axis=(2, 3))
 
     def backward_fn(g):
@@ -731,6 +758,8 @@ def adaptive_avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"adaptive_avg_pool input must be [B,C,H,W], got {x.shape}")
     b, c, h, w = x.shape
+    if h * w == 0:
+        raise ShapeError(f"adaptive_avg_pool needs a non-empty plane, got {h}x{w}")
     if out_h < 1 or out_w < 1 or h % out_h or w % out_w:
         raise ShapeError(f"cannot pool {h}x{w} to {out_h}x{out_w}: non-divisible target")
     sh, sw = h // out_h, w // out_w

@@ -21,6 +21,15 @@ def rand_normal(shape, seed):
     return normal_array(substream(seed, 19), shape)
 
 
+def deferred_strip_attention(q, k_t, v, scale):
+    """Whole-array numpy form of blocked_attention at qk width 1, on arrays:
+    exp of the scaled logits less the closed-form row max, one GEMM against
+    [v | 1], and the mix divided by the row sums in its last column."""
+    shift = np.maximum(q * k_t.max(axis=-1, keepdims=True) * scale, q * k_t.min(axis=-1, keepdims=True) * scale)
+    sums = np.matmul(np.exp(q * k_t * scale - shift), np.concatenate((v, np.ones(v.shape[:-1] + (1,))), axis=-1))
+    return sums[..., :-1] / sums[..., -1:]
+
+
 def op_gradcheck(build, arrays, seed=0, step=1e-5):
     """Max relative error between tape gradients and central differences.
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import op_gradcheck
+from conftest import deferred_strip_attention, op_gradcheck
 
 from stripseg.attention import (
     init_mixer_params,
@@ -20,12 +20,12 @@ from stripseg.tensor import (
     Tape,
     Tensor,
     bind_params,
+    blocked_attention,
     count_macs,
     linear,
     matmul,
     scalar_mul,
     softmax_lastdim,
-    strip_attention,
 )
 
 ORACLE_TOL = 1e-10
@@ -109,120 +109,169 @@ class TestStripCrossAttention:
         assert np.abs(res.out.data - oracle_attention(xq, xkv, p)).max() < ORACLE_TOL
 
 
-def fused_case(seed, n_q, n_kv, heads, scale, batch=2, c_q=5, c_kv=7, dim_head=3):
-    # std 0.5 spreads the strip logits over a few units, so the rows are
-    # far from uniform
+def fused_case(seed, n_q, n_kv, heads, scale, batch=2, c_q=5, c_kv=7, dim_head=3, kind="sca"):
+    # std 0.5 spreads the logits over a few units, so the rows are far from
+    # uniform
     stream = substream(seed, 23)
     xq = normal_array(stream, (batch, n_q, c_q))
     xkv = normal_array(stream, (batch, n_kv, c_kv))
-    p = init_mixer_params("sca", c_q, c_kv, heads, dim_head, stream, std=0.5, scale=scale)
+    p = init_mixer_params(kind, c_q, c_kv, heads, dim_head, stream, std=0.5, scale=scale)
     return xq, xkv, p
+
+
+def kernel_operands(seed, qk, n_q=64, n_kv=16, heads=3, d=3, batch=2):
+    """q, k_t and v arrays for tensor.blocked_attention; spread 2 keeps the
+    logits of both signs over several units."""
+    stream = substream(seed, 23)
+    return (
+        2.0 * normal_array(stream, (batch, heads, n_q, qk)),
+        2.0 * normal_array(stream, (batch, heads, qk, n_kv)),
+        normal_array(stream, (batch, heads, n_kv, d)),
+    )
 
 
 def unfused_chain(q, k_t, v, scale):
     return matmul(softmax_lastdim(scalar_mul(matmul(q, k_t), scale)), v)
 
 
+WIDTHS = ("sca", "ca")
+
+
 class TestFusedStripAttention:
-    """tensor.strip_attention, which an untaped strip mixer asked for no map runs."""
+    """tensor.blocked_attention, which every untaped mixer call asked for no
+    map runs, at qk width 1 (strip) and at full width (ca)."""
 
     @pytest.mark.parametrize("scale", [1.0, 0.37])
     def test_matches_oracle(self, scale):
-        xq, xkv, p = fused_case(60, 9, 6, 3, scale)
-        q = run_linear(xq, p.wq)
-        assert (q > 0).any() and (q < 0).any()
-        res = cross_attention(Tensor(xq), Tensor(xkv), bind_params(p, None)[0], with_map=False)
-        assert res.attn is None
-        np.testing.assert_allclose(res.out.data, oracle_attention(xq, xkv, p), rtol=0, atol=1e-12)
+        for kind in WIDTHS:
+            xq, xkv, p = fused_case(60, 9, 6, 3, scale, kind=kind)
+            q = run_linear(xq, p.wq)
+            assert (q > 0).any() and (q < 0).any()
+            res = cross_attention(Tensor(xq), Tensor(xkv), bind_params(p, None)[0], with_map=False)
+            assert res.attn is None
+            np.testing.assert_allclose(res.out.data, oracle_attention(xq, xkv, p), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("block", [10, 3], ids=["2-rows", "1-row"])
     @pytest.mark.parametrize("scale", [1.0, 0.37])
     def test_several_blocks_and_a_ragged_last_one(self, monkeypatch, block, scale):
         # 7 queries over 5 keys: blocks of 2 rows (the last one holds 1) or 1
         monkeypatch.setattr(tensor_module, "BLOCK_VALUES", block)
-        xq, xkv, p = fused_case(61, 7, 5, 3, scale)
-        bound = bind_params(p, None)[0]
-        fused = cross_attention(Tensor(xq), Tensor(xkv), bound, with_map=False)
-        chain = cross_attention(Tensor(xq), Tensor(xkv), bound)
-        assert fused.attn is None
-        np.testing.assert_allclose(fused.out.data, chain.out.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(fused.out.data, oracle_attention(xq, xkv, p), rtol=0, atol=1e-12)
+        for kind in WIDTHS:
+            xq, xkv, p = fused_case(61, 7, 5, 3, scale, kind=kind)
+            bound = bind_params(p, None)[0]
+            fused = cross_attention(Tensor(xq), Tensor(xkv), bound, with_map=False)
+            chain = cross_attention(Tensor(xq), Tensor(xkv), bound)
+            assert fused.attn is None
+            np.testing.assert_allclose(fused.out.data, chain.out.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fused.out.data, oracle_attention(xq, xkv, p), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1.0, 0.37])
     def test_one_block_is_bit_equal_to_the_chain(self, scale):
-        xq, xkv, p = fused_case(62, 64, 16, 3, scale)
-        bound = bind_params(p, None)[0]
-        fused = cross_attention(Tensor(xq), Tensor(xkv), bound, with_map=False)
-        chain = cross_attention(Tensor(xq), Tensor(xkv), bound)
-        assert np.array_equal(fused.out.data, chain.out.data)
+        # one block of rows covers all 64 queries. At full width the kernel
+        # runs the chain's own steps, so it has the chain's bits. At qk width
+        # 1 it has the bits of the whole-array deferred formula, whose row
+        # max is the chain's bit for bit, and only the normalization's
+        # rounding separates it from the chain.
+        strip = kernel_operands(62, 1)
+        args = [Tensor(a) for a in strip]
+        fused = blocked_attention(*args, scale).data
+        assert np.array_equal(fused, deferred_strip_attention(*strip, scale))
+        chain = unfused_chain(*args, scale).data
+        assert np.abs(fused - chain).max() <= 1e-13 * np.abs(chain).max()
+        args = [Tensor(a) for a in kernel_operands(62, 4)]
+        assert np.array_equal(blocked_attention(*args, scale).data, unfused_chain(*args, scale).data)
 
     def test_logits_near_700_stay_finite(self):
-        # strip logits q_n * k_m reach about +-700 with either sign of q, where
-        # an exp without the row max overflows
+        # logits reach about +-700 with either sign of q, where an exp
+        # without the row max overflows; at full width each is one product
+        # as well, q padded with a zero column
         q = np.array([26.5, -26.5, 1.0, -0.5, 0.0, 26.4])[None, None, :, None] * np.ones((2, 1, 1, 1))
         k_t = np.linspace(-26.4, 26.4, 9)[None, None, None, :] * np.ones((2, 1, 1, 1))
         v = normal_array(substream(66, 23), (2, 1, 9, 4))
+        q2 = np.concatenate((q, np.zeros_like(q)), axis=-1)
+        k2 = np.concatenate((k_t, normal_array(substream(67, 23), k_t.shape)), axis=-2)
         for scale in (1.0, 0.999):
-            args = (Tensor(q), Tensor(k_t), Tensor(v))
-            fused = strip_attention(*args, scale).data
-            assert np.isfinite(fused).all()
-            np.testing.assert_allclose(fused, unfused_chain(*args, scale).data, rtol=0, atol=1e-12)
+            for operands in ((q, k_t, v), (q2, k2, v)):
+                args = [Tensor(a) for a in operands]
+                fused = blocked_attention(*args, scale).data
+                assert np.isfinite(fused).all()
+                np.testing.assert_allclose(fused, unfused_chain(*args, scale).data, rtol=0, atol=1e-12)
+
+    def test_zero_and_negative_zero_queries_give_uniform_rows(self):
+        # q * k is +0 or -0 for q = +-0; either way the row shift is a zero,
+        # every weight exp(+-0) = 1, and the row mixes the values' mean
+        q = np.array([0.0, -0.0, 1.5, -2.0])[None, None, :, None] * np.ones((2, 3, 1, 1))
+        _, k_t, v = kernel_operands(68, 1, n_q=4, n_kv=7)
+        args = [Tensor(a) for a in (q, k_t, v)]
+        fused = blocked_attention(*args, 0.37).data
+        assert np.array_equal(fused[:, :, 0], fused[:, :, 1])
+        np.testing.assert_allclose(fused[:, :, 0], v.mean(axis=-2), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(fused, unfused_chain(*args, 0.37).data, rtol=0, atol=1e-14)
 
     def test_tallies_equal_the_chain(self):
-        xq, xkv, p = fused_case(63, 12, 7, 3, 0.37)
-        bound = bind_params(p, None)[0]
-        counters = []
-        for with_map in (True, False):
-            with count_macs() as mc:
-                cross_attention(Tensor(xq), Tensor(xkv), bound, with_map=with_map)
-            counters.append(mc)
-        chain, fused = counters
-        assert fused.by_region == chain.by_region
-        assert fused.peak_elems == chain.peak_elems
-        assert fused.peak_by_region == chain.peak_by_region
+        for kind in WIDTHS:
+            xq, xkv, p = fused_case(63, 12, 7, 3, 0.37, kind=kind)
+            bound = bind_params(p, None)[0]
+            counters = []
+            for with_map in (True, False):
+                with count_macs() as mc:
+                    cross_attention(Tensor(xq), Tensor(xkv), bound, with_map=with_map)
+                counters.append(mc)
+            chain, fused = counters
+            assert fused.by_region == chain.by_region
+            assert fused.peak_elems == chain.peak_elems
+            assert fused.peak_by_region == chain.peak_by_region
 
     def test_a_tape_keeps_the_chain(self):
-        xq, xkv, p = fused_case(64, 4, 3, 2, 1.0)
-        tape = Tape()
-        bound = bind_params(p, tape)[0]
-        res = cross_attention(Tensor(xq), Tensor(xkv), bound, with_map=False)
-        assert res.attn is not None and res.out.tape is tape
+        for kind in WIDTHS:
+            xq, xkv, p = fused_case(64, 4, 3, 2, 1.0, kind=kind)
+            tape = Tape()
+            bound = bind_params(p, tape)[0]
+            res = cross_attention(Tensor(xq), Tensor(xkv), bound, with_map=False)
+            assert res.attn is not None and res.out.tape is tape
         q, k_t, v = (tape.leaf(np.ones(s)) for s in ((1, 1, 2, 1), (1, 1, 1, 3), (1, 1, 3, 2)))
         with pytest.raises(ValueError, match="no backward"):
-            strip_attention(q, k_t, v, 1.0)
+            blocked_attention(q, k_t, v, 1.0)
 
     @pytest.mark.parametrize(
         "shapes",
-        [((1, 1, 2, 2), (1, 1, 2, 3), (1, 1, 3, 2)), ((1, 1, 2, 1), (1, 2, 1, 3), (1, 1, 3, 2)),
+        [((1, 1, 2, 2), (1, 1, 3, 3), (1, 1, 3, 2)), ((1, 1, 2, 1), (1, 2, 1, 3), (1, 1, 3, 2)),
          ((1, 1, 2, 1), (1, 1, 1, 3), (1, 1, 4, 2)), ((1, 1, 2, 1), (1, 1, 1, 0), (1, 1, 0, 2))],
-        ids=["full-width", "heads", "values", "no-keys"],
+        ids=["qk-widths", "heads", "values", "no-keys"],
     )
     def test_rejects_operands_it_cannot_mix(self, shapes):
         with pytest.raises(ShapeError):
-            strip_attention(*(Tensor(np.zeros(s)) for s in shapes), 1.0)
+            blocked_attention(*(Tensor(np.zeros(s)) for s in shapes), 1.0)
+
+    def test_accepts_full_width_operands(self):
+        args = [Tensor(normal_array(substream(69, 23), s)) for s in ((1, 1, 2, 2), (1, 1, 2, 3), (1, 1, 3, 2))]
+        assert np.array_equal(blocked_attention(*args, 0.5).data, unfused_chain(*args, 0.5).data)
 
     def test_peak_memory_holds_no_map(self):
         # 4096 queries over 512 keys: one map is 16 MiB; the map-returning
         # call holds two at once (never a third, even at scale 1.0, where
-        # the scaled logits are a copy), the fused kernel one block of rows
-        xq, xkv, p = fused_case(65, 4096, 512, 1, 1.0, batch=1, c_q=32, c_kv=32, dim_head=32)
-        bound = bind_params(p, None)[0]
-        args = (Tensor(xq), Tensor(xkv), bound)
+        # the scaled logits are a copy), the blocked kernel one block of
+        # rows, at qk width 1 and at full width (32)
         peaks = {}
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
-            for with_map in (False, True):
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                cross_attention(*args, with_map=with_map)
-                peaks[with_map] = tracemalloc.get_traced_memory()[1] - before
+            for kind in WIDTHS:
+                xq, xkv, p = fused_case(65, 4096, 512, 1, 1.0, batch=1, c_q=32, c_kv=32, dim_head=32, kind=kind)
+                args = (Tensor(xq), Tensor(xkv), bind_params(p, None)[0])
+                for with_map in (False, True):
+                    tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
+                    cross_attention(*args, with_map=with_map)
+                    peaks[kind, with_map] = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peaks[False] < 8 * 2**20, f"map-free call peaked at {peaks[False] / 2**20:.2f} MiB"
-        assert 32 * 2**20 < peaks[True] < 40 * 2**20, f"map call peaked at {peaks[True] / 2**20:.2f} MiB"
+        for kind in WIDTHS:
+            free, held = peaks[kind, False], peaks[kind, True]
+            assert free < 8 * 2**20, f"{kind} map-free call peaked at {free / 2**20:.2f} MiB"
+            assert 32 * 2**20 < held < 40 * 2**20, f"{kind} map call peaked at {held / 2**20:.2f} MiB"
 
 
 def _equivalence_cases():

@@ -8,12 +8,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import rand_normal
+from conftest import deferred_strip_attention, rand_normal
 from scipy.special import erf
 
 import stripseg.attention as attention_module
 import stripseg.decoder as decoder_module
-from stripseg.attention import oracle_attention
+from stripseg.attention import MIXER_KINDS, oracle_attention
 from stripseg.config import build_decoder_params, build_pyramid, resolve_config
 from stripseg.decoder import (
     build_mixed_kv,
@@ -343,19 +343,29 @@ class TestMLPBlocks:
         monkeypatch.setattr(decoder_module, "gelu", recording)
         return rows
 
-    def test_realistic_stage_1_blocks_equal_one_taped_block_bit_for_bit(self, monkeypatch):
+    @staticmethod
+    def one_block(monkeypatch, *args):
+        """clb(*args) with its MLP sub-block run as one block of all tokens."""
+        monkeypatch.setattr(decoder_module, "MLP_BLOCK_ROWS", 1 << 40)
+        return clb(*args)
+
+    def test_realistic_stage_1_blocks_equal_one_block_bit_for_bit(self, monkeypatch):
         block = self.stage1_block()
         assert decoder_module.MLP_BLOCK_ROWS == 256
         f = rand_normal((1, 128 * 256, 32), seed=22)
         m = rand_normal((1, 16, 512), seed=23)
         rows = self.gelu_rows(monkeypatch)
-        untaped = clb(Tensor(f), Tensor(m), 128, 256, bind_params(block, None)[0], "sca", True)
+        args = (Tensor(f), Tensor(m), 128, 256, bind_params(block, None)[0], "sca", True)
+        blocked = clb(*args)
         assert rows == [256] * 128
         rows.clear()
         taped = clb(Tensor(f), Tensor(m), 128, 256, bind_params(block, Tape())[0], "sca", True)
         assert rows == [128 * 256]
-        assert taped.tape is not None and untaped.tape is None
-        assert np.array_equal(untaped.data.view(np.int64), taped.data.view(np.int64))
+        assert taped.tape is not None and blocked.tape is None
+        rows.clear()
+        whole = self.one_block(monkeypatch, *args)
+        assert rows == [128 * 256]
+        assert np.array_equal(blocked.data.view(np.int64), whole.data.view(np.int64))
 
     def test_ragged_tokens_and_batch_of_two_equal_one_block_bit_for_bit(self, monkeypatch):
         # 2 x 2,051 tokens: 15 blocks of 256 rows, one crossing the batch
@@ -365,11 +375,12 @@ class TestMLPBlocks:
         f = rand_normal((2, 7 * 293, 32), seed=24)
         m = rand_normal((2, 16, 512), seed=25)
         rows = self.gelu_rows(monkeypatch)
-        untaped = clb(Tensor(f), Tensor(m), 7, 293, bind_params(block, None)[0], "sca", True)
+        args = (Tensor(f), Tensor(m), 7, 293, bind_params(block, None)[0], "sca", True)
+        blocked = clb(*args)
         assert rows == [256] * 15 + [262]
-        taped = clb(Tensor(f), Tensor(m), 7, 293, bind_params(block, Tape())[0], "sca", True)
-        assert untaped.shape == taped.shape == f.shape
-        assert np.array_equal(untaped.data.view(np.int64), taped.data.view(np.int64))
+        whole = self.one_block(monkeypatch, *args)
+        assert blocked.shape == whole.shape == f.shape
+        assert np.array_equal(blocked.data.view(np.int64), whole.data.view(np.int64))
 
     @pytest.mark.parametrize("tokens,blocks", [(511, [511]), (512, [256, 256]), (767, [256, 511])])
     def test_last_block_takes_the_remainder(self, monkeypatch, tokens, blocks):
@@ -378,10 +389,11 @@ class TestMLPBlocks:
         f = rand_normal((1, tokens, 8), seed=27)
         m = rand_normal((1, 4, 120), seed=28)
         rows = self.gelu_rows(monkeypatch)
-        untaped = clb(Tensor(f), Tensor(m), 1, tokens, bind_params(params.clb[0], None)[0], "sca", True)
+        args = (Tensor(f), Tensor(m), 1, tokens, bind_params(params.clb[0], None)[0], "sca", True)
+        blocked = clb(*args)
         assert rows == blocks
-        taped = clb(Tensor(f), Tensor(m), 1, tokens, bind_params(params.clb[0], Tape())[0], "sca", True)
-        assert np.array_equal(untaped.data.view(np.int64), taped.data.view(np.int64))
+        whole = self.one_block(monkeypatch, *args)
+        assert np.array_equal(blocked.data.view(np.int64), whole.data.view(np.int64))
 
     def test_default_config_runs_one_block_per_stage(self, monkeypatch):
         cfg = resolve_config({})
@@ -547,34 +559,45 @@ class TestLazyAttentionMaps:
             return softmax_lastdim(x)
 
         monkeypatch.setattr(attention_module, "softmax_lastdim", counting)
-        # an untaped strip decode runs the fused kernel and builds no map;
-        # full-width attention still builds each map once and drops it
-        for mixer, made in (("sca", 0), ("ca", 4)):
+        # an untaped decode runs the blocked kernel at every qk width and
+        # builds no map; the first read of trace.attn builds the four
+        for mixer in MIXER_KINDS:
             calls.clear()
             cfg = resolve_config({"decoder": {"mixer": mixer}})
             trace = decode(build_pyramid(cfg), build_decoder_params(cfg))
-            assert len(calls) == made, mixer
+            assert len(calls) == 0, mixer
             trace.attn
-            assert len(calls) == made + 4, mixer
+            assert len(calls) == 4, mixer
             trace.attn
-            assert len(calls) == made + 4, mixer
+            assert len(calls) == 4, mixer
 
     @pytest.mark.parametrize("size", ["small", "default"])
     @pytest.mark.parametrize("mixer", ["sca", "ca", "sa"])
-    def test_fused_decode_is_bit_equal_to_the_chain(self, mixer, size):
-        # a taped decode runs the unfused chain; one block of query rows
-        # covers every query at these sizes, so the fused kernel agrees bit
-        # for bit
+    def test_fused_decode_is_bit_equal_to_the_chain(self, monkeypatch, mixer, size):
+        # a taped decode runs the unfused chain, and one block of query rows
+        # covers every query at these sizes. At full width the blocked
+        # kernel runs the chain's steps and agrees bit for bit. At qk width
+        # 1 it has the bits of the whole-array deferred formula, and the
+        # normalization's rounding alone separates it from the chain.
         doc = {"decoder": {"mixer": mixer}}
         cfg = small_config(**doc) if size == "small" else resolve_config(doc)
         pyr = build_pyramid(cfg)
         params = build_decoder_params(cfg)
         fused = decode(pyr, params)
-        chain = decode(pyr, params, Tape())
-        assert np.array_equal(fused.mask.data, chain.mask.data)
+        reference = chain = decode(pyr, params, Tape())
+        if mixer == "sca":
+            for got, want in zip([fused.mask, *fused.decoded, *fused.mixed], [chain.mask, *chain.decoded, *chain.mixed]):
+                assert np.abs(got.data - want.data).max() <= 1e-13 * np.abs(want.data).max()
+            monkeypatch.setattr(
+                attention_module,
+                "blocked_attention",
+                lambda q, k_t, v, scale: Tensor(deferred_strip_attention(q.data, k_t.data, v.data, scale)),
+            )
+            reference = decode(pyr, params)
+        assert np.array_equal(fused.mask.data, reference.mask.data)
         for stage in range(4):
-            assert np.array_equal(fused.decoded[stage].data, chain.decoded[stage].data)
-            assert np.array_equal(fused.mixed[stage].data, chain.mixed[stage].data)
+            assert np.array_equal(fused.decoded[stage].data, reference.decoded[stage].data)
+            assert np.array_equal(fused.mixed[stage].data, reference.mixed[stage].data)
 
     def test_reading_maps_adds_no_tape_node(self):
         cfg = small_config()
@@ -625,6 +648,14 @@ def test_untaped_realistic_256_decode_peak_memory():
     # 13.00; with blocked layernorm and depthwise_conv, 9.25; with clb and
     # the LPM freeing what they have read, 7.31.
     peak = untaped_decode_peak(256, 256, "sca")
+    assert peak <= 9 * 2**20, f"one untaped decode peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_untaped_realistic_256_full_width_decode_peak_memory():
+    # 256x256. The unfused chain held two 4,096 x 64 stage-1 maps (2 MiB
+    # each) and peaked at 10.28 MiB; the blocked kernel, holding one block
+    # of query rows, at 8.28.
+    peak = untaped_decode_peak(256, 256, "ca")
     assert peak <= 9 * 2**20, f"one untaped decode peaked at {peak / 2**20:.2f} MiB"
 
 

@@ -463,6 +463,14 @@ class TestPooling:
                     acc += v
                 np.testing.assert_allclose(out[0, 0, oy, ox], acc / 16.0, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(1, 2, 0, 0), (1, 2, 0, 3), (2, 1, 4, 0)])
+    def test_an_empty_plane_is_refused_by_name(self, shape):
+        # numpy's mean of an empty plane is NaN with a "Mean of empty slice"
+        # RuntimeWarning; the pools refuse it before reducing
+        for pool in (global_avg_pool, lambda x: adaptive_avg_pool(x, 1, 1)):
+            with pytest.raises(ShapeError, match=f"non-empty plane, got {shape[2]}x{shape[3]}"):
+                pool(Tensor(np.zeros(shape)))
+
     def test_adaptive_rejects_non_divisible(self):
         with pytest.raises(ShapeError):
             adaptive_avg_pool(Tensor(np.zeros((1, 1, 6, 6))), 4, 4)
