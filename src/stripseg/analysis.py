@@ -33,6 +33,10 @@ from .tensor import Tensor, bind_params, count_macs
 MIN_REPEATS = 9
 MIN_WARMUP = 2
 
+# Token counts and channel widths of default_grid's square cases.
+GRID_TOKENS = (1, 4, 16, 64, 256)
+GRID_CHANNELS = (1, 8, 32, 128)
+
 CSV_COLUMNS = [
     "mixer",
     "N_q",
@@ -202,18 +206,17 @@ def decode_macs(pyramid: FeaturePyramid, params: DecoderParams) -> int:
 
 def sweep(
     configs: Sequence[AttnConfig],
-    mixers: Sequence[str] = MIXER_KINDS,
     time_it: bool = False,
     repeats: int = MIN_REPEATS,
     warmup: int = MIN_WARMUP,
     seed: int = 0,
 ) -> list[dict]:
-    """One CSV row per (config, mixer), in deterministic input order."""
+    """One CSV row per (config, mixer in MIXER_KINDS), in deterministic input order."""
     if not configs:
         raise ValueError("sweep needs at least one configuration")
     rows = []
     for cfg in configs:
-        for mixer in mixers:
+        for mixer in MIXER_KINDS:
             report = count_flops(mixer, cfg, seed)
             wall: object = ""
             if time_it:
@@ -247,13 +250,10 @@ def rows_to_csv(rows: Sequence[dict]) -> str:
     return buf.getvalue()
 
 
-def default_grid(
-    n_values: Sequence[int] = (1, 4, 16, 64, 256),
-    c_values: Sequence[int] = (1, 8, 32, 128),
-) -> list[AttnConfig]:
+def default_grid() -> list[AttnConfig]:
     """Single-head square grid on which the closed forms are exact."""
     return [
         AttnConfig(n_q=n, n_kv=n, c_q=c, c_kv=c, heads=1, dim_head=c)
-        for n in n_values
-        for c in c_values
+        for n in GRID_TOKENS
+        for c in GRID_CHANNELS
     ]

@@ -144,7 +144,16 @@ def cross_attention(xq: Tensor, xkv: Tensor, p: AttnParams, with_map: bool = Tru
     """
     if xq.data.ndim != 3 or xkv.data.ndim != 3:
         raise ShapeError(f"attention inputs must be [B,N,C], got {xq.shape} and {xkv.shape}")
-    qk = p.wq.weight.shape[0] // p.heads
+    qk_rows, k_rows, v_rows = (w.weight.shape[0] for w in (p.wq, p.wk, p.wv))
+    if p.heads < 1:
+        raise ShapeError(f"heads: must be >= 1, got {p.heads}")
+    if qk_rows < p.heads or qk_rows % p.heads:
+        raise ShapeError(f"wq: {qk_rows} rows are not a positive multiple of {p.heads} heads")
+    if k_rows != qk_rows:
+        raise ShapeError(f"wk: {k_rows} rows, but wq has {qk_rows}")
+    if v_rows != p.heads * p.dim_head:
+        raise ShapeError(f"wv: {v_rows} rows, not heads * dim_head = {p.heads} * {p.dim_head}")
+    qk = qk_rows // p.heads
     b, n_kv, _ = xkv.shape
     with mac_region("qk_proj"):
         q = _split_heads(linear(xq, p.wq), p.heads, qk)

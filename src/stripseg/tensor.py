@@ -12,17 +12,19 @@ to any active MacCounter. Softmax, normalization, pooling and resampling are
 deliberately uncounted; the complexity model only prices score/weighted-sum
 and projection stages.
 
-Memory: the row-wise kernels (softmax_lastdim, layernorm, gelu) work on
-one block of BLOCK_VALUES values at a time; blocked_attention on one block
-of query rows of every (batch, head) slice, at most BLOCK_VALUES logits per
-slice, so it never holds a whole attention map; and depthwise_conv on one
-group of whole channel planes of at most BLOCK_VALUES values (at least one
-plane); its forward and both its gradients add each tap into the
-in-range part of the group's output, so nothing is padded. So an untaped
-kernel's scratch is one block: only outputs, and the arrays a taped call
-keeps for its backward, have the operands' size. Importing the module tunes
-glibc's malloc for the whole process (_retain_heap): freed heap stays
-mapped, so repeated decodes do not fault their working set in again.
+Memory: the row-wise kernels layernorm and gelu work on one block of
+BLOCK_VALUES values at a time; blocked_attention on one block of query rows
+of every (batch, head) slice, at most BLOCK_VALUES logits per slice, so it
+never holds a whole attention map; and depthwise_conv on one group of whole
+channel planes of at most BLOCK_VALUES values (at least one plane); its
+forward and both its gradients add each tap into the in-range part of the
+group's output, so nothing is padded. softmax_lastdim works on the whole
+array in its output, beside only the row maxima and sums. So an untaped
+kernel's scratch is one block or one value per row: only outputs, and the
+arrays a taped call keeps for its backward, have the operands' size.
+Importing the module tunes glibc's malloc for the whole process
+(_retain_heap): freed heap stays mapped, so repeated decodes do not fault
+their working set in again.
 """
 
 from __future__ import annotations
@@ -322,15 +324,6 @@ def bind_params(obj, tape: Optional[Tape]):
 # ---------------------------------------------------------------------------
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 def _swap_last(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
@@ -445,28 +438,19 @@ def _erf(t: np.ndarray, out: np.ndarray) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over the last two axes.
+    """Batched matrix product over the last two axes: [..., m, k] x [..., k, n].
 
-    Leading batch extents must match or broadcast from 1.
+    Both operands are at least 2-d and have the same leading extents.
     """
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    try:
-        out = np.matmul(a.data, b.data)
-    except ValueError as exc:
-        raise ShapeError(f"matmul batch extents incompatible: {a.shape} x {b.shape}") from exc
-    m, k = a.shape[-2], a.shape[-1]
-    n = b.shape[-1]
-    _tally(int(np.prod(out.shape[:-2], dtype=np.int64)) * m * n * k, out.size)
+    if a.data.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul needs [..., m, k] x [..., k, n] with equal leading extents, got {a.shape} x {b.shape}")
+    out = np.matmul(a.data, b.data)
+    _tally(out.size * a.shape[-1], out.size)
 
     a_data, b_data = a.data, b.data
 
     def backward_fn(g):
-        ga = _unbroadcast(np.matmul(g, _swap_last(b_data)), a_data.shape)
-        gb = _unbroadcast(np.matmul(_swap_last(a_data), g), b_data.shape)
-        return ga, gb
+        return np.matmul(g, _swap_last(b_data)), np.matmul(_swap_last(a_data), g)
 
     return _emit(out, (a, b), backward_fn)
 
@@ -501,13 +485,16 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     return _emit(out, inputs, backward_fn)
 
 
-# Values per block of softmax_lastdim, layernorm, depthwise_conv and gelu,
-# and per (batch, head) slice of a blocked_attention block.
+# Values per block of layernorm, depthwise_conv and gelu, and per
+# (batch, head) slice of a blocked_attention block.
 BLOCK_VALUES = 1 << 15
 
 
 def _softmax_rows(src: np.ndarray, out: np.ndarray) -> None:
-    """Softmax of each row of src into out, which may be src itself."""
+    """Softmax of each row of src into out, which may be src itself.
+
+    Only the row maxima and row sums are formed apart from out.
+    """
     np.subtract(src, src.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
@@ -517,16 +504,8 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     """Softmax over the last axis, stabilized by max subtraction."""
     if x.data.ndim == 0 or x.shape[-1] < 1:
         raise ShapeError(f"softmax needs a last extent >= 1, got {x.shape}")
-    # Rows are independent, so each block of rows runs max, subtract, exp,
-    # sum and divide while it is in cache, writing into one output buffer.
-    # Per row these are the same operations in the same order as unblocked.
-    n = x.shape[-1]
     out = np.empty(x.shape)
-    rows_in = x.data.reshape(-1, n)
-    rows_out = out.reshape(-1, n)
-    step = max(1, BLOCK_VALUES // n)
-    for r in range(0, rows_in.shape[0], step):
-        _softmax_rows(rows_in[r : r + step], rows_out[r : r + step])
+    _softmax_rows(x.data, out)
 
     def backward_fn(g):
         return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
@@ -545,7 +524,7 @@ def blocked_attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float) -> Tensor
     only: a tape needs the map, so taped callers use the chain.
 
     At qk width > 1 a block runs the chain's own steps on its rows: the
-    logits matmul, the scale, softmax_lastdim's row step and the value mix.
+    logits matmul, the scale, _softmax_rows and the value mix.
     At qk width 1 each row's logits are rank one, scale * (q * k_m), and
     rounding is monotone, so the chain's row max is the larger of
     scale * (q * kmax) and scale * (q * kmin), bit for bit. A block subtracts
@@ -688,17 +667,17 @@ def _tap_sum(src: np.ndarray, k: np.ndarray, taps: list, bias: Optional[np.ndarr
     return out.reshape(b, c, h, w)
 
 
-def depthwise_conv(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Per-channel spatial cross-correlation with zero same-padding.
+def depthwise_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Per-channel spatial cross-correlation with zero same-padding, plus bias.
 
-    x is [B, C, H, W]; kernel is [C, kh, kw] with kh, kw in {1, 3}. Nothing
-    is padded: the forward and both gradients run _tap_sum over one tap
-    list. The input gradient is g correlated with the flipped kernel, taps
-    in reverse order, which adds the products in the padded backward's
-    order. A tap's kernel gradient sums g times x shifted by that tap alone
-    (a kernel of ones): x in range, but with -0 read as +0, and +0 where the
-    padding was. numpy sums any run of zeros to +0, so that sign never
-    shows in the sum.
+    x is [B, C, H, W]; kernel is [C, kh, kw] with kh, kw in {1, 3}; bias
+    is [C]. Nothing is padded: the forward and both gradients run _tap_sum
+    over one tap list. The input gradient is g correlated with the flipped
+    kernel, taps in reverse order, which adds the products in the padded
+    backward's order. A tap's kernel gradient sums g times x shifted by that
+    tap alone (a kernel of ones): x in range, but with -0 read as +0, and +0
+    where the padding was. numpy sums any run of zeros to +0, so that sign
+    never shows in the sum.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"depthwise_conv input must be [B,C,H,W], got {x.shape}")
@@ -707,7 +686,7 @@ def depthwise_conv(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> 
     channels, kh, kw = kernel.shape
     if kh not in (1, 3) or kw not in (1, 3):
         raise ShapeError(f"unsupported kernel size {kh}x{kw}; only 1 and 3 allowed")
-    if bias is not None and bias.shape != (channels,):
+    if bias.shape != (channels,):
         raise ShapeError(f"bias shape {bias.shape} != ({channels},)")
     b, c, h, w = x.shape
     x_data, k_data = x.data, kernel.data
@@ -721,21 +700,17 @@ def depthwise_conv(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> 
             hi = min(h, h - dr) * w - max(0, dc)
             if lo < hi and abs(dc) < w:
                 taps.append((dy, dx, lo, hi, dr * w + dc, dc != 0))
-    out = _tap_sum(x_data, k_data, taps, None if bias is None else bias.data)
+    out = _tap_sum(x_data, k_data, taps, bias.data)
     _tally(b * c * h * w * kh * kw, out.size)
-    has_bias = bias is not None
 
     def backward_fn(g):
         gx = _tap_sum(g, k_data[:, ::-1, ::-1], taps[::-1])
         gk, ones = np.zeros((channels, kh, kw)), np.ones((channels, kh, kw))
         for tap in taps:
             gk[:, tap[0], tap[1]] = (g * _tap_sum(x_data, ones, [tap])).sum(axis=(0, 2, 3))
-        if has_bias:
-            return gx, gk, g.sum(axis=(0, 2, 3))
-        return gx, gk
+        return gx, gk, g.sum(axis=(0, 2, 3))
 
-    inputs = (x, kernel, bias) if has_bias else (x, kernel)
-    return _emit(out, inputs, backward_fn)
+    return _emit(out, (x, kernel, bias), backward_fn)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -799,9 +774,11 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Separable bilinear resampling with half-pixel centers and edge clamping."""
     if x.data.ndim != 4:
         raise ShapeError(f"bilinear_resize input must be [B,C,H,W], got {x.shape}")
+    _, _, h, w = x.shape
+    if h * w == 0:
+        raise ShapeError(f"bilinear_resize needs a non-empty plane, got {h}x{w}")
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"bilinear_resize target {out_h}x{out_w} must be positive")
-    _, _, h, w = x.shape
     rows = _interp_matrix(h, out_h)
     cols = _interp_matrix(w, out_w)
     out = np.matmul(np.matmul(rows, x.data), cols.T)

@@ -103,13 +103,13 @@ class TestSweep:
         assert rows[:3] == rows[3:]
 
     def test_csv_schema(self):
-        rows = sweep([AttnConfig(2, 3, 4, 5, 1, 4)], mixers=("ca",))
+        rows = sweep([AttnConfig(2, 3, 4, 5, 1, 4)])
         text = rows_to_csv(rows)
         lines = text.split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert text.endswith("\n") and "\r" not in text
-        assert len(lines) == 3  # header + one row + trailing newline
-        fields = lines[1].split(",")
+        assert len(lines) == 5  # header + sa, ca, sca rows + trailing newline
+        fields = lines[2].split(",")
         assert fields[0] == "ca"
         assert fields[1:7] == ["2", "3", "4", "5", "1", "4"]
         assert fields[-1] == ""  # untimed rows leave wall time empty

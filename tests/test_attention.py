@@ -1,5 +1,6 @@
 """Token-mixer contracts: examples, oracle equivalence, invariants, gradients."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from stripseg.attention import (
 import stripseg.tensor as tensor_module
 from stripseg.synth import normal_array, substream
 from stripseg.tensor import (
+    LinearParams,
     ShapeError,
     Tape,
     Tensor,
@@ -84,6 +86,26 @@ class TestCrossAttention:
         xq, xkv, p = make_case(5, 2, 5, 4, 6, 2, 3, kind="vanilla")
         res = cross_attention(Tensor(xq), Tensor(xkv), bind_params(p, None)[0])
         assert np.abs(res.out.data - oracle_attention(xq, xkv, p)).max() < ORACLE_TOL
+
+    @pytest.mark.parametrize(
+        "change,match",
+        [
+            ({"heads": 0}, "heads: must be >= 1, got 0"),
+            ({"wq": 5}, "wq: 5 rows are not a positive multiple of 2 heads"),
+            ({"wq": 1}, "wq: 1 rows are not a positive multiple of 2 heads"),
+            ({"wk": 6}, "wk: 6 rows, but wq has 4"),
+            ({"wv": 6}, r"wv: 6 rows, not heads \* dim_head = 2 \* 2"),
+        ],
+        ids=["no-heads", "wq-not-a-multiple", "wq-under-heads", "wk-unlike-wq", "wv-not-heads-x-dim-head"],
+    )
+    def test_projections_that_do_not_split_over_heads_are_refused(self, change, match):
+        # a hand-built AttnParams is checked before any projection runs; a
+        # changed projection keeps C = 3 inputs and takes the given rows
+        xq, xkv, p = make_case(6, 2, 3, 3, 3, 2, 2, kind="vanilla")
+        fields = {k: v if k == "heads" else LinearParams(np.zeros((v, 3)), np.zeros(v)) for k, v in change.items()}
+        bound, _ = bind_params(dataclasses.replace(p, **fields), None)
+        with pytest.raises(ShapeError, match=match):
+            cross_attention(Tensor(xq), Tensor(xkv), bound)
 
 
 class TestStripCrossAttention:

@@ -99,22 +99,15 @@ class TestMatmul:
             right = matmul(Tensor(a), matmul(Tensor(b), Tensor(c))).data
             np.testing.assert_allclose(left, right, atol=1e-9)
 
-    def test_batch_broadcast(self):
-        a = rand_uniform((1, 2, 3), seed=3)
-        b = rand_uniform((5, 3, 4), seed=4)
-        out = matmul(Tensor(a), Tensor(b))
-        assert out.shape == (5, 2, 4)
-        np.testing.assert_allclose(out.data[2], a[0] @ b[2], atol=1e-12)
-
-    @pytest.mark.parametrize("a_shape,b_shape", [((3, 1), (1, 4)), ((2, 1, 5, 1), (1, 3, 1, 4)), ((1, 1), (1, 1))])
+    @pytest.mark.parametrize("a_shape,b_shape", [((3, 1), (1, 4)), ((2, 3, 5, 1), (2, 3, 1, 4)), ((1, 1), (1, 1))])
     def test_inner_extent_one_is_exact_outer_product(self, a_shape, b_shape):
         # one rounded product per element: equal to the loop and to np.matmul
         a = rand_uniform(a_shape, seed=70)
         b = rand_uniform(b_shape, seed=71)
         out = matmul(Tensor(a), Tensor(b)).data
         np.testing.assert_array_equal(out, np.matmul(a, b))
-        flat_a = np.broadcast_to(a, out.shape[:-2] + a.shape[-2:]).reshape(-1, a.shape[-2])
-        flat_b = np.broadcast_to(b, out.shape[:-2] + b.shape[-2:]).reshape(-1, b.shape[-1])
+        flat_a = a.reshape(-1, a.shape[-2])
+        flat_b = b.reshape(-1, b.shape[-1])
         flat_out = out.reshape(-1, out.shape[-2], out.shape[-1])
         for batch in range(flat_out.shape[0]):
             for i in range(flat_out.shape[1]):
@@ -122,8 +115,12 @@ class TestMatmul:
                     assert flat_out[batch, i, j] == flat_a[batch, i] * flat_b[batch, j]
 
     def test_inner_extent_one_rejects_incompatible_batches(self):
-        with pytest.raises(ShapeError):
-            matmul(Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros((3, 1, 4))))
+        # leading extents must be equal: none broadcasts from 1, and both
+        # operands have the same number of axes
+        for a_shape, b_shape in [((2, 3, 1), (3, 1, 4)), ((1, 2, 3), (5, 3, 4)), ((3, 4), (2, 4, 5))]:
+            with pytest.raises(ShapeError) as err:
+                matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
+            assert str(a_shape) in str(err.value) and str(b_shape) in str(err.value)
 
 
 class TestSoftmax:
@@ -152,24 +149,21 @@ class TestSoftmax:
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(7,), (5, 3), (2, 11, 4), (3, 9), (1, 1)])
-    @pytest.mark.parametrize("block", [1, 8, 12, 1 << 15])
-    def test_row_blocks_equal_unblocked_chain(self, monkeypatch, shape, block):
-        # blocks of one row, several rows, a partial last block and rows
-        # longer than a block all give the unblocked chain's bits
-        monkeypatch.setattr(tensor_module, "BLOCK_VALUES", block)
-        x = rand_uniform(shape, seed=7) * 30.0
+    @pytest.mark.parametrize("scale", [1, 8, 12, 1 << 15])
+    def test_row_blocks_equal_unblocked_chain(self, shape, scale):
+        # the whole array in one pass gives the chain's bits, from near-even
+        # rows to rows where every exp but the max underflows to 0
+        x = rand_uniform(shape, seed=7) * scale
         shifted = x - x.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         np.testing.assert_array_equal(softmax_lastdim(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
 
-    def test_non_contiguous_input(self, monkeypatch):
-        monkeypatch.setattr(tensor_module, "BLOCK_VALUES", 10)
+    def test_non_contiguous_input(self):
         x = rand_uniform((6, 5), seed=8).T
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         np.testing.assert_array_equal(softmax_lastdim(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
 
-    def test_blocked_rows_match_scalar_loop(self, monkeypatch):
-        monkeypatch.setattr(tensor_module, "BLOCK_VALUES", 16)
+    def test_blocked_rows_match_scalar_loop(self):
         x = rand_uniform((9, 7), seed=9) * 20.0
         out = softmax_lastdim(Tensor(x)).data
         for r in range(9):
@@ -287,20 +281,22 @@ class TestDepthwiseConv:
 
     def test_unsupported_kernel_size(self):
         with pytest.raises(ShapeError):
-            depthwise_conv(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 5, 5))))
+            depthwise_conv(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 5, 5))), Tensor(np.zeros(1)))
 
     @pytest.mark.parametrize("kernel_hw", [(1, 1), (1, 3), (3, 1), (3, 3)])
     @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (2, 2, 1, 6), (2, 2, 5, 1), (2, 1, 1, 1)])
-    @pytest.mark.parametrize("with_bias", [True, False])
-    def test_matches_scalar_loop_bit_for_bit(self, kernel_hw, shape, with_bias):
+    @pytest.mark.parametrize("random_bias", [True, False])
+    def test_matches_scalar_loop_bit_for_bit(self, kernel_hw, shape, random_bias):
         # The loop adds the in-range taps in (dy, dx) order to 0.0, then the
-        # bias: the kernel's order, so even the last bit agrees.
+        # bias: the kernel's order, so even the last bit agrees. A zero bias
+        # gives the bias-free loop's bits: a sum that starts at +0 never
+        # holds -0, so adding +0 changes nothing.
         kh, kw = kernel_hw
         b, c, h, w = shape
         x = rand_uniform(shape, seed=60)
         kernel = rand_uniform((c, kh, kw), seed=61)
-        bias = rand_uniform((c,), seed=62) if with_bias else None
-        out = depthwise_conv(Tensor(x), Tensor(kernel), None if bias is None else Tensor(bias)).data
+        bias = rand_uniform((c,), seed=62) if random_bias else np.zeros(c)
+        out = depthwise_conv(Tensor(x), Tensor(kernel), Tensor(bias)).data
         expect = np.zeros(shape)
         for n in range(b):
             for ch in range(c):
@@ -312,7 +308,7 @@ class TestDepthwiseConv:
                                 yy, xx = y + dy - kh // 2, x_ + dx - kw // 2
                                 if 0 <= yy < h and 0 <= xx < w:
                                     acc += float(kernel[ch, dy, dx]) * float(x[n, ch, yy, xx])
-                        expect[n, ch, y, x_] = acc + float(bias[ch]) if with_bias else acc
+                        expect[n, ch, y, x_] = acc + float(bias[ch]) if random_bias else acc
         assert_same_bits(out, expect)
 
     @staticmethod
@@ -352,9 +348,9 @@ class TestDepthwiseConv:
         # a taped call's gx, gk and bias gradient for the upstream g, in
         # g's own layout, against the padded reference byte for byte
         tape = Tape()
-        depthwise_conv(*[tape.leaf(a) for a in (x, kernel, bias) if a is not None])
+        depthwise_conv(*[tape.leaf(a) for a in (x, kernel, bias)])
         got = tape.nodes[-1].backward_fn(g)
-        assert len(got) == (2 if bias is None else 3)
+        assert len(got) == 3
         for have, want in zip(got, cls.padded_backward(x, kernel, g)):
             assert_same_bits(have, want)
 
@@ -375,13 +371,13 @@ class TestDepthwiseConv:
         bias = np.round(rand_normal((c,), 65), 1)
         out = depthwise_conv(Tensor(x), Tensor(kernel), Tensor(bias)).data
         assert_same_bits(out, self.padded_forward(x, kernel, bias))
-        out_no_bias = depthwise_conv(Tensor(x), Tensor(kernel)).data
-        assert_same_bits(out_no_bias, self.padded_forward(x, kernel, np.zeros(c)))
+        zero_bias = depthwise_conv(Tensor(x), Tensor(kernel), Tensor(np.zeros(c))).data
+        assert_same_bits(zero_bias, self.padded_forward(x, kernel, np.zeros(c)))
         # and a channel of -0.0, which a kernel of ones reads as +0
         x[:, -1] = -0.0
         for g in self.upstream_grads(shape, 73):
             self.assert_backward_is_padded(x, kernel, bias, g)
-            self.assert_backward_is_padded(x, kernel, None, g)
+            self.assert_backward_is_padded(x, kernel, np.zeros(c), g)
 
     @pytest.mark.parametrize("kernel_hw", [(1, 3), (3, 3)])
     def test_infinite_edge_inputs_do_not_wrap_to_the_next_row(self, kernel_hw):
@@ -420,11 +416,11 @@ class TestDepthwiseConv:
         out = depthwise_conv(Tensor(x), Tensor(kernel), Tensor(bias)).data
         assert_same_bits(out, one_group)
         assert_same_bits(out, self.padded_forward(x, kernel, bias))
-        out_no_bias = depthwise_conv(Tensor(x), Tensor(kernel)).data
-        assert_same_bits(out_no_bias, self.padded_forward(x, kernel, np.zeros(c)))
+        zero_bias = depthwise_conv(Tensor(x), Tensor(kernel), Tensor(np.zeros(c))).data
+        assert_same_bits(zero_bias, self.padded_forward(x, kernel, np.zeros(c)))
         for g in self.upstream_grads(shape, 76):
             self.assert_backward_is_padded(x, kernel, bias, g)
-            self.assert_backward_is_padded(x, kernel, None, g)
+            self.assert_backward_is_padded(x, kernel, np.zeros(c), g)
 
 
 class TestPooling:
@@ -466,8 +462,9 @@ class TestPooling:
     @pytest.mark.parametrize("shape", [(1, 2, 0, 0), (1, 2, 0, 3), (2, 1, 4, 0)])
     def test_an_empty_plane_is_refused_by_name(self, shape):
         # numpy's mean of an empty plane is NaN with a "Mean of empty slice"
-        # RuntimeWarning; the pools refuse it before reducing
-        for pool in (global_avg_pool, lambda x: adaptive_avg_pool(x, 1, 1)):
+        # RuntimeWarning, and an empty interpolation matrix has no row to
+        # index; the pools and the resize refuse it first
+        for pool in (global_avg_pool, lambda x: adaptive_avg_pool(x, 1, 1), lambda x: bilinear_resize(x, 2, 2)):
             with pytest.raises(ShapeError, match=f"non-empty plane, got {shape[2]}x{shape[3]}"):
                 pool(Tensor(np.zeros(shape)))
 
@@ -660,18 +657,12 @@ class TestGradients:
         a = rand_uniform((2, 3, 4), seed=60)
         b = rand_uniform((2, 4, 5), seed=61)
         assert op_gradcheck(matmul, [a, b], seed=62) < GRADCHECK_TOL
-        a1 = rand_uniform((1, 3, 4), seed=63)
-        assert op_gradcheck(matmul, [a1, b], seed=64) < GRADCHECK_TOL
 
-    @pytest.mark.parametrize("seed,shape", [(5, (3,)), (6, (2, 4)), (7, (2, 3, 5)), (8, (1, 7)), (9, (4, 2))])
+    @pytest.mark.parametrize("seed,shape", [(5, (3,)), (6, (2, 4)), (7, (2, 3, 5)), (8, (1, 7)), (9, (4, 2)), (65, (5, 3, 4))])
     def test_softmax(self, seed, shape):
         assert op_gradcheck(softmax_lastdim, [rand_uniform(shape, seed=seed)], seed=seed) < GRADCHECK_TOL
 
-    def test_softmax_in_row_blocks(self, monkeypatch):
-        monkeypatch.setattr(tensor_module, "BLOCK_VALUES", 8)
-        assert op_gradcheck(softmax_lastdim, [rand_uniform((5, 3, 4), seed=65)], seed=65) < GRADCHECK_TOL
-
-    @pytest.mark.parametrize("a_shape,b_shape", [((4, 1), (1, 3)), ((2, 3, 1), (1, 1, 5))])
+    @pytest.mark.parametrize("a_shape,b_shape", [((4, 1), (1, 3)), ((2, 3, 1), (2, 1, 5))])
     def test_matmul_inner_extent_one(self, a_shape, b_shape):
         a = rand_uniform(a_shape, seed=66)
         b = rand_uniform(b_shape, seed=67)
@@ -707,11 +698,6 @@ class TestGradients:
             rand_uniform((c, kh, kh), seed=seed + 90),
             rand_uniform((c,), seed=seed + 100),
         ]
-        assert op_gradcheck(depthwise_conv, arrays, seed=seed) < GRADCHECK_TOL
-
-    @pytest.mark.parametrize("seed,kernel_hw,shape", [(150, (1, 3), (2, 2, 3, 4)), (151, (3, 1), (1, 2, 4, 3)), (152, (3, 3), (2, 1, 1, 4)), (153, (3, 3), (1, 2, 4, 1)), (154, (1, 3), (2, 1, 1, 1))])
-    def test_depthwise_conv_without_bias(self, seed, kernel_hw, shape):
-        arrays = [rand_uniform(shape, seed=seed), rand_uniform((shape[1], *kernel_hw), seed=seed + 90)]
         assert op_gradcheck(depthwise_conv, arrays, seed=seed) < GRADCHECK_TOL
 
     def test_depthwise_conv_in_channel_groups(self, monkeypatch):
