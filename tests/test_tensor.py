@@ -114,10 +114,17 @@ class TestMatmul:
                 for j in range(flat_out.shape[2]):
                     assert flat_out[batch, i, j] == flat_a[batch, i] * flat_b[batch, j]
 
+    def test_batch_broadcast(self):
+        # a batch extent of 1 does not broadcast: the pair is refused, and
+        # the error names both shapes
+        with pytest.raises(ShapeError) as err:
+            matmul(Tensor(rand_uniform((1, 2, 3), seed=3)), Tensor(rand_uniform((5, 3, 4), seed=4)))
+        assert "(1, 2, 3)" in str(err.value) and "(5, 3, 4)" in str(err.value)
+
     def test_inner_extent_one_rejects_incompatible_batches(self):
-        # leading extents must be equal: none broadcasts from 1, and both
-        # operands have the same number of axes
-        for a_shape, b_shape in [((2, 3, 1), (3, 1, 4)), ((1, 2, 3), (5, 3, 4)), ((3, 4), (2, 4, 5))]:
+        # leading extents must be equal, and both operands have the same
+        # number of axes
+        for a_shape, b_shape in [((2, 3, 1), (3, 1, 4)), ((3, 4), (2, 4, 5))]:
             with pytest.raises(ShapeError) as err:
                 matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
             assert str(a_shape) in str(err.value) and str(b_shape) in str(err.value)
@@ -699,6 +706,14 @@ class TestGradients:
             rand_uniform((c,), seed=seed + 100),
         ]
         assert op_gradcheck(depthwise_conv, arrays, seed=seed) < GRADCHECK_TOL
+
+    @pytest.mark.parametrize("seed,kernel_hw,shape", [(150, (1, 3), (2, 2, 3, 4)), (151, (3, 1), (1, 2, 4, 3)), (152, (3, 3), (2, 1, 1, 4)), (153, (3, 3), (1, 2, 4, 1)), (154, (1, 3), (2, 1, 1, 1))])
+    def test_depthwise_conv_without_bias(self, seed, kernel_hw, shape):
+        # the bias is required but need not be on the tape: a constant zero
+        # bias leaves the x and kernel gradients of non-square kernels
+        zero_bias = Tensor(np.zeros(shape[1]))
+        arrays = [rand_uniform(shape, seed=seed), rand_uniform((shape[1], *kernel_hw), seed=seed + 90)]
+        assert op_gradcheck(lambda x, k: depthwise_conv(x, k, zero_bias), arrays, seed=seed) < GRADCHECK_TOL
 
     def test_depthwise_conv_in_channel_groups(self, monkeypatch):
         monkeypatch.setattr(tensor_module, "BLOCK_VALUES", 2 * 4 * 3)  # 5 channels in groups of 2, 2, 1
