@@ -50,7 +50,7 @@ from .tensor import (
 MIXER_KINDS = ("sa", "ca", "sca")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttnParams:
     """Multi-head attention projections.
 

@@ -21,6 +21,7 @@ level as soon as its stage is done, when a lower stage mixes across layers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,7 +107,7 @@ class DecoderSpec:
             object.__setattr__(self, name, value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LPMParams:
     """Local perception module: depthwise convs plus a squeeze-excite gate.
 
@@ -124,7 +125,7 @@ class LPMParams:
     dw_out_bias: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class CLBParams:
     """One decoder block: normalizations, token mixer, LPM, and MLP.
 
@@ -146,14 +147,32 @@ class CLBParams:
     mlp_fc2: LinearParams
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecoderParams:
     """Whole-head parameter bundle; clb[i] serves stage i+1, spec holds the
-    settings the arrays were built for."""
+    settings the arrays were built for.
 
-    clb: list
+    The bundle and its parts are frozen: an array may be written in place,
+    but no field can be replaced, so `bound` never goes stale;
+    dataclasses.replace builds a new bundle, which binds afresh.
+    """
+
+    clb: tuple
     fuse_mlp: LinearParams
     spec: DecoderSpec
+
+    @cached_property
+    def bound(self) -> "DecoderParams":
+        """The bundle bound without a tape, built on first read and kept.
+
+        Every untaped decode runs on it. Each Tensor in it is a read-only
+        view of its array, so an in-place write shows in the next decode.
+        """
+        return bind_params(self, None)[0]
+
+    def __getstate__(self) -> dict:
+        # a copy or unpickled bundle has new arrays, so it binds afresh
+        return {k: v for k, v in self.__dict__.items() if k != "bound"}
 
 
 @dataclass
@@ -165,8 +184,8 @@ class DecodeTrace:
     untaped decode of any mixer kind never builds one, and `attn` builds all
     four on its first read and caches them. It reruns mixer_branch, asking
     for the map, on the pyramid's lateral features and the held mixed
-    tokens, with the parameters bound without a tape, so the maps are those
-    of the unfused chain, which a taped decode runs, and add no node to a
+    tokens, with the untaped bundle params.bound, so the maps are those of
+    the unfused chain, which a taped decode runs, and add no node to a
     decode's tape.
     The build reads the pyramid and parameter arrays as they are at that
     first read, so change neither in place before it.
@@ -183,13 +202,12 @@ class DecodeTrace:
     @property
     def attn(self) -> list:
         if self._attn is None:
-            bound, _ = bind_params(self.params, None)
             spec = self.params.spec
             self._attn = [
                 mixer_branch(
                     tokens_from_grid(Tensor(self.pyramid.features[stage - 1])),
                     Tensor(self.mixed[stage - 1].data),
-                    bound.clb[stage - 1],
+                    self.params.bound.clb[stage - 1],
                     spec.mixer,
                     spec.layernorm_eps,
                 ).attn
@@ -329,10 +347,11 @@ def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] 
     fuse_mlp applied to the concatenated upsampled stages, up to rounding,
     without building sum(channels) channels on the stage-1 grid.
 
-    With a tape, every parameter array is registered as a differentiable
-    leaf; the trace carries the name -> leaf map for gradient lookup.
+    Without a tape it runs on params.bound, bound once per bundle. With a
+    tape, every parameter array is registered as a differentiable leaf of
+    that tape; the trace carries the name -> leaf map for gradient lookup.
     """
-    bound, leaves = bind_params(params, tape)
+    bound, leaves = (params.bound, None) if tape is None else bind_params(params, tape)
     feats = [Tensor(f) for f in pyramid.features]
     spec = pyramid.spec
     # refuse parameters of the wrong widths before any stage runs
@@ -393,7 +412,7 @@ def decode(pyramid: FeaturePyramid, params: DecoderParams, tape: Optional[Tape] 
         mask=mask,
         pyramid=pyramid,
         params=params,
-        param_leaves=leaves if tape is not None else None,
+        param_leaves=leaves,
     )
 
 
@@ -468,4 +487,4 @@ def init_decoder_params(
         blocks.append(block)
 
     fuse = _init_linear(substream(seed, 100), spec.num_classes, total_c, init_std)
-    return DecoderParams(clb=blocks, fuse_mlp=fuse, spec=spec)
+    return DecoderParams(clb=tuple(blocks), fuse_mlp=fuse, spec=spec)

@@ -108,7 +108,7 @@ class Tensor:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(self.data.shape)
+        return self.data.shape
 
     @property
     def size(self) -> int:
@@ -261,7 +261,7 @@ def _tally(macs: int, out_elems: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearParams:
     """Affine map y = x @ weight.T + bias; weight is [out, in], bias is [out]."""
 
@@ -269,7 +269,7 @@ class LinearParams:
     bias: Optional[np.ndarray] = None
 
 
-# bind_params runs on every decode; caching the names keeps fields() off that path.
+# Every taped decode binds its parameters; caching the names keeps fields() off that path.
 @lru_cache(maxsize=None)
 def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
@@ -307,12 +307,17 @@ def bind_params(obj, tape: Optional[Tape]):
     """Wrap every array in a parameter bundle as a Tensor, sharing buffers.
 
     With a tape, arrays become differentiable leaves. Returns the bound bundle
-    and a map from dotted parameter name to its leaf Tensor.
+    and a map from dotted parameter name to its leaf Tensor. Each Tensor is a
+    read-only view of its array, so an in-place write to the array shows in
+    it. An array that is not float64 raises TypeError naming the parameter:
+    Tensor would copy it, and writes to the array would not show.
     """
     make = tape.leaf if tape is not None else Tensor
     leaves: dict[str, Tensor] = {}
 
     def bind(name, arr):
+        if arr.dtype != np.float64:
+            raise TypeError(f"parameter {name!r} is {arr.dtype}, not float64")
         leaves[name] = t = make(arr)
         return t
 
@@ -590,6 +595,8 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
     operations in the same order as on the whole array. Untaped, a block's
     normalized rows overwrite its centered ones; a taped call writes them,
     and the inverse deviations, into the whole arrays its backward reads.
+    A mean is np.add.reduce's sum divided by C: ndarray.mean's arithmetic,
+    so its bits, without its Python-level wrapper.
     """
     if x.data.ndim == 0 or x.shape[-1] < 1:
         raise ShapeError(f"layernorm needs a channel extent >= 1, got {x.shape}")
@@ -608,8 +615,8 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
     step = max(1, BLOCK_VALUES // c)
     for r in range(0, rows_in.shape[0], step):
         blk = rows_in[r : r + step]
-        centered = blk - blk.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+        centered = blk - np.add.reduce(blk, axis=-1, keepdims=True) / c
+        inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / c + eps)
         if taped:
             inv_rows[r : r + step] = inv
         xh = np.multiply(centered, inv, out=xhat_rows[r : r + step] if taped else centered)
@@ -631,10 +638,10 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
     return _emit(out, (x, gamma, beta), backward_fn)
 
 
-def _tap_sum(src: np.ndarray, k: np.ndarray, taps: list, bias: Optional[np.ndarray] = None) -> np.ndarray:
+def _tap_sum(src: np.ndarray, k: np.ndarray, taps: Sequence, bias: Optional[np.ndarray] = None) -> np.ndarray:
     """Sum over taps of k[:, dy, dx] times src shifted by the tap, plus bias.
 
-    src is [B, C, H, W] and k is [C, kh, kw]; taps are depthwise_conv's
+    src is [B, C, H, W] and k is [C, kh, kw]; taps are _taps's
     (dy, dx, lo, hi, shift, wraps). Works on one group of whole channel
     planes of one batch item at a time, at most BLOCK_VALUES values and at
     least one plane. Tap by tap in list order, it multiplies the group,
@@ -667,6 +674,25 @@ def _tap_sum(src: np.ndarray, k: np.ndarray, taps: list, bias: Optional[np.ndarr
     return out.reshape(b, c, h, w)
 
 
+@lru_cache(maxsize=None)
+def _taps(kh: int, kw: int, h: int, w: int) -> tuple:
+    """depthwise_conv's taps of a kh x kw kernel on an h x w plane, in
+    kernel order: (dy, dx, lo, hi, shift, wraps) for each tap that reaches
+    the plane. Output j reads input j + shift; a tap's span [lo, hi) holds
+    every output whose input row is in range, less an end that would leave
+    the plane; wraps marks a column offset, whose products cross row ends.
+    """
+    taps = []
+    for dy in range(kh):
+        for dx in range(kw):
+            dr, dc = dy - kh // 2, dx - kw // 2
+            lo = max(0, -dr) * w + max(0, -dc)
+            hi = min(h, h - dr) * w - max(0, dc)
+            if lo < hi and abs(dc) < w:
+                taps.append((dy, dx, lo, hi, dr * w + dc, dc != 0))
+    return tuple(taps)
+
+
 def depthwise_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Per-channel spatial cross-correlation with zero same-padding, plus bias.
 
@@ -690,16 +716,7 @@ def depthwise_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"bias shape {bias.shape} != ({channels},)")
     b, c, h, w = x.shape
     x_data, k_data = x.data, kernel.data
-    # output j reads input j + shift; a tap's span holds every output whose
-    # input row is in range, less an end that would leave x
-    taps = []
-    for dy in range(kh):
-        for dx in range(kw):
-            dr, dc = dy - kh // 2, dx - kw // 2
-            lo = max(0, -dr) * w + max(0, -dc)
-            hi = min(h, h - dr) * w - max(0, dc)
-            if lo < hi and abs(dc) < w:
-                taps.append((dy, dx, lo, hi, dr * w + dc, dc != 0))
+    taps = _taps(kh, kw, h, w)
     out = _tap_sum(x_data, k_data, taps, bias.data)
     _tally(b * c * h * w * kh * kw, out.size)
 
@@ -714,13 +731,14 @@ def depthwise_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Spatial mean of a [B, C, H, W] tensor, yielding [B, C]."""
+    """Spatial mean of a [B, C, H, W] tensor, yielding [B, C], computed as
+    layernorm's means are."""
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool input must be [B,C,H,W], got {x.shape}")
     b, c, h, w = x.shape
     if h * w == 0:
         raise ShapeError(f"global_avg_pool needs a non-empty plane, got {h}x{w}")
-    out = x.data.mean(axis=(2, 3))
+    out = np.add.reduce(x.data, axis=(2, 3)) / (h * w)
 
     def backward_fn(g):
         return (np.broadcast_to(g[:, :, None, None] / (h * w), (b, c, h, w)).copy(),)
@@ -729,7 +747,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 def adaptive_avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Mean over non-overlapping cells; spatial extents must divide evenly."""
+    """Mean over non-overlapping cells, computed as layernorm's means are;
+    spatial extents must divide evenly."""
     if x.data.ndim != 4:
         raise ShapeError(f"adaptive_avg_pool input must be [B,C,H,W], got {x.shape}")
     b, c, h, w = x.shape
@@ -739,7 +758,7 @@ def adaptive_avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
         raise ShapeError(f"cannot pool {h}x{w} to {out_h}x{out_w}: non-divisible target")
     sh, sw = h // out_h, w // out_w
     cells = x.data.reshape(b, c, out_h, sh, out_w, sw)
-    out = cells.mean(axis=(3, 5))
+    out = np.add.reduce(cells, axis=(3, 5)) / (sh * sw)
 
     def backward_fn(g):
         g_cells = np.broadcast_to(

@@ -376,7 +376,7 @@ class TestInvariants:
         # this is the degrees-of-freedom reduction of strip compression
         xq, xkv, p = make_case(34, 5, 7, 4, 6, 2, 3)
         base = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(p, None)[0])
-        p.wk.bias += 2.5
+        p.wk.bias[:] += 2.5  # in place: the parameter dataclasses are frozen
         shifted = strip_cross_attention(Tensor(xq), Tensor(xkv), bind_params(p, None)[0])
         np.testing.assert_allclose(base.attn.data, shifted.attn.data, atol=1e-10)
 

@@ -1,9 +1,11 @@
 """Decoder contracts: mixed key/value construction, LPM, block, full decode."""
 
 import contextlib
+import copy
 import dataclasses
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from scipy.special import erf
 
 import stripseg.attention as attention_module
 import stripseg.decoder as decoder_module
+import stripseg.tensor as tensor_module
 from stripseg.attention import MIXER_KINDS, oracle_attention
 from stripseg.config import build_decoder_params, build_pyramid, resolve_config
 from stripseg.decoder import (
@@ -469,7 +472,8 @@ class TestDecode:
         cfg = small_config()
         params = build_decoder_params(cfg)
         k, c = params.fuse_mlp.weight.shape
-        params.fuse_mlp.weight = np.zeros((k, c + extra))
+        fuse = dataclasses.replace(params.fuse_mlp, weight=np.zeros((k, c + extra)))
+        params = dataclasses.replace(params, fuse_mlp=fuse)
         with pytest.raises(ShapeError, match="fuse weight"):
             decode(build_pyramid(cfg), params)
 
@@ -543,6 +547,115 @@ class TestDecode:
             got = grads.get(trace.param_leaves[name].tid)
             analytic = got.data if got is not None else np.zeros_like(arr)
             assert max_rel_error(analytic, fd_gradient(loss_fn, arr)) < 1e-3, name
+
+
+def bound_pairs(raw, bound):
+    """(array, bound Tensor) for every parameter array of a bundle."""
+    if isinstance(raw, np.ndarray):
+        yield raw, bound
+    elif dataclasses.is_dataclass(raw):
+        for f in dataclasses.fields(raw):
+            yield from bound_pairs(getattr(raw, f.name), getattr(bound, f.name))
+    elif isinstance(raw, tuple):
+        for r, b in zip(raw, bound, strict=True):
+            yield from bound_pairs(r, b)
+
+
+class TestBindOnce:
+    """An untaped decode runs on params.bound, bound on first read and kept."""
+
+    @staticmethod
+    def written(params):
+        params.fuse_mlp.bias[:] += 1.0
+        params.clb[3].mixer.wv.weight[0, 0] += 0.25
+        return params
+
+    def test_an_in_place_write_reaches_the_next_decode(self):
+        cfg = small_config()
+        pyr = build_pyramid(cfg)
+        params = build_decoder_params(cfg)
+        first = decode(pyr, params).mask.data
+        second = decode(pyr, self.written(params)).mask.data
+        assert not np.array_equal(first, second)
+        assert np.array_equal(second, decode(pyr, self.written(build_decoder_params(cfg))).mask.data)
+
+    def test_a_copied_bundle_binds_its_own_arrays(self):
+        cfg = small_config()
+        pyr = build_pyramid(cfg)
+        params = build_decoder_params(cfg)
+        first = decode(pyr, params).mask.data
+        want = decode(pyr, self.written(build_decoder_params(cfg))).mask.data
+        assert np.array_equal(decode(pyr, self.written(copy.deepcopy(params))).mask.data, want)
+        assert np.array_equal(decode(pyr, params).mask.data, first)
+
+    def test_a_field_cannot_be_replaced(self):
+        params = build_decoder_params(small_config())
+        block = params.clb[0]
+        assert isinstance(params.clb, tuple)
+        for obj, name in [
+            (params, "fuse_mlp"),
+            (params.fuse_mlp, "weight"),
+            (block, "ln1_gamma"),
+            (block.lpm, "fc1"),
+            (block.mixer, "wq"),
+            (block.mixer, "scale"),
+        ]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+
+    def test_a_replaced_bundle_decodes_with_its_new_arrays(self):
+        cfg = small_config()
+        pyr = build_pyramid(cfg)
+        params = build_decoder_params(cfg)
+        first = decode(pyr, params).mask.data
+        other = init_decoder_params(pyr.spec.channels, params.spec, 5)
+        replaced = dataclasses.replace(params, clb=other.clb, fuse_mlp=other.fuse_mlp)
+        got = decode(pyr, replaced).mask.data
+        assert not np.array_equal(got, first)
+        assert np.array_equal(got, decode(pyr, other).mask.data)
+        assert np.array_equal(decode(pyr, params).mask.data, first)
+
+    def test_a_second_decode_binds_nothing(self, monkeypatch):
+        cfg = small_config()
+        pyr = build_pyramid(cfg)
+        params = build_decoder_params(cfg)
+        calls = []
+        walk = tensor_module._map_arrays
+
+        def counting(*args):
+            calls.append(args[-1])
+            return walk(*args)
+
+        monkeypatch.setattr(tensor_module, "_map_arrays", counting)
+        decode(pyr, params)
+        assert calls
+        calls.clear()
+        decode(pyr, params).attn
+        assert calls == []
+        decode(pyr, params, Tape())  # a taped decode binds leaves of its own tape
+        assert calls
+
+    def test_every_bound_tensor_views_its_array(self):
+        params = build_decoder_params(resolve_config({}))
+        pairs = list(bound_pairs(params, params.bound))
+        assert len(pairs) == 122
+        for arr, t in pairs:
+            assert isinstance(t, Tensor) and t.tape is None
+            assert np.shares_memory(t.data, arr) and t.shape == arr.shape
+            assert not t.data.flags.writeable
+        assert params.bound is params.bound
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    def test_an_array_that_is_not_float64_is_refused_by_name(self, dtype, taped):
+        # Tensor would bind a float64 copy, which no in-place write reaches
+        cfg = small_config()
+        params = build_decoder_params(cfg)
+        lpm = params.clb[1].lpm
+        lpm = dataclasses.replace(lpm, dw3_kernel=lpm.dw3_kernel.astype(dtype))
+        bad = dataclasses.replace(params, clb=(params.clb[0], dataclasses.replace(params.clb[1], lpm=lpm), *params.clb[2:]))
+        with pytest.raises(TypeError, match=re.escape(f"'clb[1].lpm.dw3_kernel' is {np.dtype(dtype)}, not float64")):
+            decode(build_pyramid(cfg), bad, Tape() if taped else None)
 
 
 # ---------------------------------------------------------------------------

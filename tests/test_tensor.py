@@ -257,6 +257,18 @@ class TestLayernorm:
             want = [g * (v - mu) * inv + b for v, g, b in zip(row, gamma, beta)]
             np.testing.assert_allclose(out[r], want, rtol=1e-13, atol=1e-14)
 
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize("shape", [(2, 5, 1), (2, 5, 3), (2, 5, 7), (1, 7)], ids=["C1", "C3", "C7", "one-row"])
+    def test_forward_has_the_bits_of_numpy_mean(self, taped, shape):
+        # the kernel divides np.add.reduce's row sums by C, which is what
+        # ndarray.mean computes, less its Python-level wrapper
+        x = rand_normal(shape, 27) * 3.0 + 0.75
+        c = shape[-1]
+        gamma, beta = rand_normal((c,), 28), rand_normal((c,), 29)
+        centered = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-6)
+        assert_same_bits(self.run(x, gamma, beta, taped)[0], gamma * (centered * inv) + beta)
+
 
 class TestDepthwiseConv:
     def test_1x1_scaling(self):
@@ -484,6 +496,20 @@ class TestPooling:
         vals = np.floor(rand_uniform((1, 2, 8, 8), seed=11, lo=0, hi=64))
         pooled = adaptive_avg_pool(Tensor(vals), 2, 2)
         assert float(pooled.data.mean()) == float(vals.mean())
+
+    @pytest.mark.parametrize(
+        "shape,out_h,out_w",
+        [((2, 1, 6, 10), 2, 2), ((2, 3, 6, 10), 2, 2), ((2, 7, 6, 10), 3, 5), ((2, 3, 1, 9), 1, 3)],
+        ids=["C1", "C3", "C7-cells-of-4", "one-row"],
+    )
+    def test_pools_have_the_bits_of_numpy_mean(self, shape, out_h, out_w):
+        # both pools divide np.add.reduce's sums by the cell size, which is
+        # what ndarray.mean computes; cells of 15, 4 and 3 values
+        x = rand_normal(shape, 30) * 2.0 - 0.5
+        b, c, h, w = shape
+        assert_same_bits(global_avg_pool(Tensor(x)).data, x.mean(axis=(2, 3)))
+        cells = x.reshape(b, c, out_h, h // out_h, out_w, w // out_w)
+        assert_same_bits(adaptive_avg_pool(Tensor(x), out_h, out_w).data, cells.mean(axis=(3, 5)))
 
 
 class TestBilinearResize:
