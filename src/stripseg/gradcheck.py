@@ -23,18 +23,18 @@ def fd_gradient(loss_fn: Callable[[], float], arr: np.ndarray, step: float = DEF
     """Central-difference gradient of loss_fn with respect to arr, in place.
 
     loss_fn must re-read arr on every call; arr is restored exactly on exit.
+    Entries are stepped in C order through arr itself, so any layout works,
+    a transposed view included.
     """
     grad = np.zeros_like(arr)
-    flat = arr.reshape(-1)
-    gflat = grad.reshape(-1)
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + step
+    for idx in np.ndindex(arr.shape):
+        orig = arr[idx]
+        arr[idx] = orig + step
         hi = loss_fn()
-        flat[j] = orig - step
+        arr[idx] = orig - step
         lo = loss_fn()
-        flat[j] = orig
-        gflat[j] = (hi - lo) / (2.0 * step)
+        arr[idx] = orig
+        grad[idx] = (hi - lo) / (2.0 * step)
     return grad
 
 

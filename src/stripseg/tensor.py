@@ -1,10 +1,11 @@
 """Dense fp64 tensor kernels with tape-based reverse-mode differentiation.
 
 Every kernel is a pure function: it computes its result eagerly with numpy
-and, when any input lives on a Tape, records a node whose backward closure
-produces analytic input gradients. The one exception, blocked_attention,
-is forward-only and refuses taped operands. Reduction orders inside each
-kernel are fixed, so repeated runs are bitwise identical.
+and returns it through _emit, its one exit, which tallies its MACs, wraps it
+as a read-only Tensor and, when any input lives on a Tape, records a node
+whose backward closure produces analytic input gradients. The one exception,
+blocked_attention, is forward-only and refuses taped operands. Reduction
+orders inside each kernel are fixed, so repeated runs are bitwise identical.
 
 Multiply-accumulate instrumentation: kernels that perform dense arithmetic
 (matmul, linear, depthwise_conv, elementwise multiplies) report MAC counts
@@ -30,6 +31,7 @@ their working set in again.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -94,17 +96,18 @@ _HEAP_RETAINED = _retain_heap()
 
 
 class Tensor:
-    """Immutable dense fp64 array value, optionally registered on a Tape."""
+    """Immutable dense fp64 array value, optionally registered on a Tape.
+
+    Tensor(data) wraps an array a caller keeps (a parameter, feature or test
+    input) as a read-only view, so in-place writes to the array show in it;
+    Tape.leaf puts one on a tape. A kernel's result is wrapped by _emit instead."""
 
     __slots__ = ("data", "tape", "tid")
 
-    def __init__(self, data, tape: Optional["Tape"] = None, tid: Optional[int] = None):
-        arr = np.asarray(data, dtype=np.float64)
-        view = arr.view()
-        view.flags.writeable = False
-        self.data = view
-        self.tape = tape
-        self.tid = tid
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64).view()
+        self.data.flags.writeable = False
+        self.tape = self.tid = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -140,21 +143,13 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._next_id = 0
-
-    def _new_id(self) -> int:
-        tid = self._next_id
-        self._next_id += 1
-        return tid
+        self._ids = itertools.count()  # tensor ids, for leaves and node outputs alike
 
     def leaf(self, data) -> Tensor:
         """Register external data (parameters, inputs) as a differentiable leaf."""
-        return Tensor(data, tape=self, tid=self._new_id())
-
-    def record(self, out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
-        out = Tensor(out_data, tape=self, tid=self._new_id())
-        self.nodes.append(_Node(out.tid, tuple(t.tid for t in inputs), backward_fn))
-        return out
+        t = Tensor(data)
+        t.tape, t.tid = self, next(self._ids)
+        return t
 
 
 def _common_tape(inputs: Sequence[Tensor]) -> Optional[Tape]:
@@ -169,11 +164,23 @@ def _common_tape(inputs: Sequence[Tensor]) -> Optional[Tape]:
     return tape
 
 
-def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
+def _emit(out: np.ndarray, inputs: Sequence[Tensor], backward_fn, macs: Optional[int] = None) -> Tensor:
+    """Every kernel's one exit: tally macs, if given, with out's size; mark
+    out read-only in place and wrap it with no copy or view, since it is the
+    kernel's own array or a view of a read-only operand (a 0-d numpy scalar
+    becomes an array first); and, on the inputs' tape, record its node."""
+    if type(out) is not np.ndarray:
+        out = np.asarray(out)
+    if macs is not None:
+        _tally(macs, out.size)
+    out.flags.writeable = False
     tape = _common_tape(inputs)
-    if tape is None:
-        return Tensor(out_data)
-    return tape.record(out_data, inputs, backward_fn)
+    t = object.__new__(Tensor)
+    t.data, t.tape, t.tid = out, tape, None
+    if tape is not None:
+        t.tid = next(tape._ids)
+        tape.nodes.append(_Node(t.tid, tuple(i.tid for i in inputs), backward_fn))
+    return t
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
@@ -449,15 +456,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """
     if a.data.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul needs [..., m, k] x [..., k, n] with equal leading extents, got {a.shape} x {b.shape}")
-    out = np.matmul(a.data, b.data)
-    _tally(out.size * a.shape[-1], out.size)
-
     a_data, b_data = a.data, b.data
+    out = np.matmul(a_data, b_data)
 
     def backward_fn(g):
         return np.matmul(g, _swap_last(b_data)), np.matmul(_swap_last(a_data), g)
 
-    return _emit(out, (a, b), backward_fn)
+    return _emit(out, (a, b), backward_fn, macs=out.size * a.shape[-1])
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
@@ -473,7 +478,6 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     out = np.matmul(x.data, w.data.T)
     if p.bias is not None:
         out += p.bias.data
-    _tally(x.size * out_dim, out.size)
 
     x_data, w_data = x.data, w.data
     has_bias = p.bias is not None
@@ -487,7 +491,7 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
         return gx.reshape(x_data.shape), gw
 
     inputs = (x, w, p.bias) if has_bias else (x, w)
-    return _emit(out, inputs, backward_fn)
+    return _emit(out, inputs, backward_fn, macs=x.size * out_dim)
 
 
 # Values per block of layernorm, depthwise_conv and gelu, and per
@@ -582,8 +586,7 @@ def blocked_attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float) -> Tensor
             _softmax_rows(blk, blk)
             np.matmul(blk, v_data, out=out[:, :, rows])
     with mac_region("attn_mix"):
-        _tally(b * h * n_q * d * n_kv, out.size)
-    return Tensor(out)
+        return _emit(out, (q, k_t, v), None, macs=b * h * n_q * d * n_kv)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
@@ -718,7 +721,6 @@ def depthwise_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     x_data, k_data = x.data, kernel.data
     taps = _taps(kh, kw, h, w)
     out = _tap_sum(x_data, k_data, taps, bias.data)
-    _tally(b * c * h * w * kh * kw, out.size)
 
     def backward_fn(g):
         gx = _tap_sum(g, k_data[:, ::-1, ::-1], taps[::-1])
@@ -727,7 +729,7 @@ def depthwise_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             gk[:, tap[0], tap[1]] = (g * _tap_sum(x_data, ones, [tap])).sum(axis=(0, 2, 3))
         return gx, gk, g.sum(axis=(0, 2, 3))
 
-    return _emit(out, (x, kernel, bias), backward_fn)
+    return _emit(out, (x, kernel, bias), backward_fn, macs=b * c * h * w * kh * kw)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -878,22 +880,20 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul operands differ: {a.shape} vs {b.shape}")
     a_data, b_data = a.data, b.data
     out = a_data * b_data
-    _tally(out.size, out.size)
 
     def backward_fn(g):
         return g * b_data, g * a_data
 
-    return _emit(out, (a, b), backward_fn)
+    return _emit(out, (a, b), backward_fn, macs=out.size)
 
 
 def scalar_mul(x: Tensor, c: float) -> Tensor:
     out = x.data * c
-    _tally(out.size, out.size)
 
     def backward_fn(g):
         return (g * c,)
 
-    return _emit(out, (x,), backward_fn)
+    return _emit(out, (x,), backward_fn, macs=out.size)
 
 
 def scale_channels(x: Tensor, gate: Tensor) -> Tensor:
@@ -902,12 +902,11 @@ def scale_channels(x: Tensor, gate: Tensor) -> Tensor:
         raise ShapeError(f"scale_channels: gate {gate.shape} must match leading dims of {x.shape}")
     x_data, gate4 = x.data, gate.data[:, :, None, None]
     out = x_data * gate4
-    _tally(out.size, out.size)
 
     def backward_fn(g):
         return g * gate4, (g * x_data).sum(axis=(2, 3))
 
-    return _emit(out, (x, gate), backward_fn)
+    return _emit(out, (x, gate), backward_fn, macs=out.size)
 
 
 def concat_lastdim(parts: Sequence[Tensor]) -> Tensor:
@@ -968,7 +967,7 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.sum())
+    out = x.data.sum()
     x_shape = x.shape
 
     def backward_fn(g):

@@ -14,6 +14,7 @@ from conftest import op_gradcheck, rand_normal, rand_uniform, tampered_softmax
 
 import stripseg
 import stripseg.tensor as tensor_module
+from stripseg.gradcheck import fd_gradient
 from stripseg.tensor import (
     LinearParams,
     ShapeError,
@@ -25,6 +26,7 @@ from stripseg.tensor import (
     add,
     backward,
     bilinear_resize,
+    blocked_attention,
     bind_params,
     concat_lastdim,
     count_macs,
@@ -671,6 +673,129 @@ class TestBackward:
         t1, t2 = Tape(), Tape()
         with pytest.raises(ValueError):
             add(t1.leaf(np.zeros(2)), t2.leaf(np.zeros(2)))
+
+
+def _arr(*shape):
+    return rand_uniform(shape, seed=len(shape))
+
+
+# One call of each kernel, on Tensors that make(array) builds.
+KERNEL_CALLS = {
+    "matmul": lambda make: matmul(make(_arr(2, 3)), make(_arr(3, 4))),
+    "linear": lambda make: linear(make(_arr(2, 3)), LinearParams(make(_arr(4, 3)), make(_arr(4)))),
+    "softmax_lastdim": lambda make: softmax_lastdim(make(_arr(2, 5))),
+    "blocked_attention": lambda make: blocked_attention(
+        make(_arr(1, 2, 3, 1)), make(_arr(1, 2, 1, 4)), make(_arr(1, 2, 4, 2)), 0.5
+    ),
+    "layernorm": lambda make: layernorm(make(_arr(2, 4)), make(_arr(4)), make(_arr(4))),
+    "depthwise_conv": lambda make: depthwise_conv(make(_arr(1, 2, 4, 4)), make(_arr(2, 3, 3)), make(_arr(2))),
+    "global_avg_pool": lambda make: global_avg_pool(make(_arr(1, 2, 4, 4))),
+    "adaptive_avg_pool": lambda make: adaptive_avg_pool(make(_arr(1, 2, 4, 4)), 2, 2),
+    "bilinear_resize": lambda make: bilinear_resize(make(_arr(1, 2, 4, 4)), 6, 8),
+    "relu": lambda make: relu(make(_arr(2, 3))),
+    "gelu": lambda make: gelu(make(_arr(2, 3))),
+    "sigmoid": lambda make: sigmoid(make(_arr(2, 3))),
+    "add": lambda make: add(make(_arr(2, 3)), make(_arr(2, 3))),
+    "mul": lambda make: mul(make(_arr(2, 3)), make(_arr(2, 3))),
+    "scalar_mul": lambda make: scalar_mul(make(_arr(2, 3)), 1.5),
+    "scale_channels": lambda make: scale_channels(make(_arr(1, 2, 4, 4)), make(_arr(1, 2))),
+    "concat_lastdim": lambda make: concat_lastdim([make(_arr(2, 3)), make(_arr(2, 2))]),
+    "slice_lastdim": lambda make: slice_lastdim(make(_arr(2, 5)), 1, 3),
+    "reshape": lambda make: reshape(make(_arr(2, 6)), (3, 4)),
+    "transpose": lambda make: transpose(make(_arr(2, 3, 4)), (2, 0, 1)),
+    "sum_all": lambda make: sum_all(make(_arr(2, 3))),
+}
+TAPED_KERNELS = sorted(set(KERNEL_CALLS) - {"blocked_attention"})
+
+
+class TestKernelExit:
+    """Every kernel returns through _emit, which freezes and wraps its result."""
+
+    def test_calls_cover_every_kernel(self):
+        kernels = {
+            name
+            for name, fn in vars(tensor_module).items()
+            if inspect.isfunction(fn) and "return _emit(" in inspect.getsource(fn)
+        }
+        assert kernels == set(KERNEL_CALLS)
+        assert len(kernels) == 21
+
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_CALLS))
+    def test_untaped_result_is_read_only(self, kernel):
+        out = KERNEL_CALLS[kernel](Tensor)
+        assert type(out.data) is np.ndarray
+        assert not out.data.flags.writeable
+        assert out.tape is None and out.tid is None
+
+    @pytest.mark.parametrize("kernel", TAPED_KERNELS)
+    def test_taped_result_is_read_only(self, kernel):
+        tape = Tape()
+        out = KERNEL_CALLS[kernel](tape.leaf)
+        assert not out.data.flags.writeable
+        assert out.tape is tape
+        assert tape.nodes[-1].out_id == out.tid
+
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_CALLS))
+    def test_one_emit_per_call(self, kernel, monkeypatch):
+        emitted = []
+
+        def counted(out, inputs, backward_fn, macs=None):
+            emitted.append(kernel)
+            return _emit(out, inputs, backward_fn, macs)
+
+        monkeypatch.setattr(tensor_module, "_emit", counted)
+        KERNEL_CALLS[kernel](Tensor)
+        assert len(emitted) == 1
+        if kernel in TAPED_KERNELS:
+            KERNEL_CALLS[kernel](Tape().leaf)
+            assert len(emitted) == 2
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda x: add(x, x), relu, lambda x: scalar_mul(x, 2.0), sum_all],
+        ids=["add", "relu", "scalar_mul", "sum_all"],
+    )
+    def test_zero_d_result_is_an_array(self, call):
+        # numpy gives a 0-d operation's result as a scalar, which has no flags to set
+        out = call(Tensor(np.array(-1.5)))
+        assert type(out.data) is np.ndarray and out.shape == ()
+        assert not out.data.flags.writeable
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_bound_tensor_stays_a_view(self, taped):
+        weight, bias = np.zeros((3, 4)), np.zeros(3)
+        bound, leaves = bind_params(LinearParams(weight, bias), Tape() if taped else None)
+        weight[1, 2] = 7.0
+        assert bound.weight.data[1, 2] == 7.0
+        assert np.shares_memory(bound.weight.data, weight) and leaves["weight"] is bound.weight
+        assert not bound.weight.data.flags.writeable and weight.flags.writeable
+        # a kernel's result is frozen in place; the bound array is not touched
+        reshape(bound.weight, (12,))
+        assert weight.flags.writeable
+
+    def test_refused_taped_blocked_attention_tallies_nothing(self):
+        tape = Tape()
+        q, k_t, v = _arr(1, 2, 3, 1), _arr(1, 2, 1, 4), _arr(1, 2, 4, 2)
+        with count_macs() as mc, mac_region("attn"):
+            with pytest.raises(ValueError, match="no backward"):
+                blocked_attention(Tensor(q), tape.leaf(k_t), Tensor(v), 0.5)
+        assert mc.total == 0 and mc.by_region == {} and mc.peak_elems == 0
+        assert tape.nodes == []
+
+
+class TestFdGradient:
+    @pytest.mark.parametrize(
+        "view",
+        [lambda a: a.T, lambda a: a[::2, ::2], lambda a: a[:, 1:3], lambda a: a[0, 0, ...]],
+        ids=["transposed", "strided", "column-slice", "0-d"],
+    )
+    def test_steps_the_array_itself(self, view):
+        a = view(np.arange(12.0).reshape(3, 4))
+        before = a.copy()
+        got = fd_gradient(lambda: float((a * a).sum()), a)
+        np.testing.assert_allclose(got, 2 * before, rtol=1e-8, atol=1e-8)
+        assert got.shape == a.shape
+        np.testing.assert_array_equal(a, before)
 
 
 GRADCHECK_TOL = 1e-4

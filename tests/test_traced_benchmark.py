@@ -68,3 +68,25 @@ def test_taped_decode_and_backward_fill_the_train_metrics():
     assert m["op.write_or_backward_ms"] > 0
     missing = [name for name, leaf in trace.param_leaves.items() if leaf.tid not in grads]
     assert not missing
+
+
+def test_default_decode_emits_once_per_traced_kernel_call(monkeypatch):
+    # every kernel leaves through tensor._emit, so one emit stands for one call
+    cfg = resolve_config({})
+    pyramid = build_pyramid(cfg)
+    params = build_decoder_params(cfg)
+    decoder.decode(pyramid, params)  # binds the bundle, which the tracer counts as a call
+    emits = []
+    emit = tensor._emit
+
+    def counted(*args, **kwargs):
+        emits.append(1)
+        return emit(*args, **kwargs)
+
+    monkeypatch.setattr(tensor, "_emit", counted)
+    tracer = default_tracer(cfg)
+    with tracer.installed(), tensor.count_macs() as mc, tracer.op("op0", mc):
+        tracer.api["decode"](pyramid, params)
+    m = tracing.op_metrics(tracer.spans, "op0")
+
+    assert emits and len(emits) == m["tensor.calls"]
