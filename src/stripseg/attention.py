@@ -139,8 +139,10 @@ def cross_attention(xq: Tensor, xkv: Tensor, p: AttnParams, with_map: bool = Tru
     attn=None from tensor.blocked_attention. At full width its output is
     the map-returning call's, bit for bit where BLAS rounds a block of query
     rows as it rounds the whole matrix (always where one block covers every
-    query); with qk width 1 it differs only in the rounding of the softmax
-    normalization.
+    query). With qk width 1 the kernel's exact strip loop differs from it
+    only in the rounding of the softmax normalization, and its moments path,
+    which calls too large for that loop take, by a few ulps of the values'
+    magnitude.
     """
     if xq.data.ndim != 3 or xkv.data.ndim != 3:
         raise ShapeError(f"attention inputs must be [B,N,C], got {xq.shape} and {xkv.shape}")

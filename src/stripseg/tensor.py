@@ -13,16 +13,32 @@ to any active MacCounter. Softmax, normalization, pooling and resampling are
 deliberately uncounted; the complexity model only prices score/weighted-sum
 and projection stages.
 
+Strip attention: at qk width 1, blocked_attention's logits are rank one,
+scale * q_i * k_j, so a head's softmax mix depends on one scalar per query,
+tau_i = scale * q_i * r, with the keys centred and scaled by their
+half-range r to u_j in [-1, 1]. Where its exact loop (an exp and d + 1 MACs
+per map entry) would cost more, the kernel evaluates the mix from P = 14
+moments per integer bin of tau, sum_j e^(t0 u_j - |t0|) u_j^n / n! [v_j | 1],
+and a degree-13 polynomial in tau - t0 per query: two GEMMs, exact to
+(1/2)^14 / 14! = 7.0e-16 of a row's weights. The path is chosen per call
+from the shapes and the spread of tau (_moments_pay): the moments run where
+their GEMMs, (bins P N_kv + N_q P) (d + 1) MACs at a measured 1.5 times an
+exact-loop MAC, plus per-bin and per-head overheads, cost less than the
+exact loop's N_q N_kv (d + 2), and never on a non-finite spread. So a
+default decode (4 keys a call) keeps the exact loop.
+
 Memory: the row-wise kernels layernorm and gelu work on one block of
 BLOCK_VALUES values at a time; blocked_attention on one block of query rows
 of every (batch, head) slice, at most BLOCK_VALUES logits per slice, so it
-never holds a whole attention map; and depthwise_conv on one group of whole
-channel planes of at most BLOCK_VALUES values (at least one plane); its
-forward and both its gradients add each tap into the in-range part of the
-group's output, so nothing is padded. softmax_lastdim works on the whole
-array in its output, beside only the row maxima and sums. So an untaped
-kernel's scratch is one block or one value per row: only outputs, and the
-arrays a taped call keeps for its backward, have the operands' size.
+never holds a whole attention map (its moments path holds one head's
+[P, N_kv] powers and query blocks of at most BLOCK_VALUES values per
+array); and depthwise_conv on one group of whole channel planes of at most
+BLOCK_VALUES values (at least one plane); its forward and both its
+gradients add each tap into the in-range part of the group's output, so
+nothing is padded. softmax_lastdim works on the whole array in its output,
+beside only the row maxima and sums. So an untaped kernel's scratch is one
+block or a few values per row: only outputs, and the arrays a taped call
+keeps for its backward, have the operands' size.
 Importing the module tunes glibc's malloc for the whole process
 (_retain_heap): freed heap stays mapped, so repeated decodes do not fault
 their working set in again.
@@ -494,9 +510,25 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     return _emit(out, inputs, backward_fn, macs=x.size * out_dim)
 
 
-# Values per block of layernorm, depthwise_conv and gelu, and per
-# (batch, head) slice of a blocked_attention block.
+# Values per block of layernorm, depthwise_conv and gelu, per (batch, head)
+# slice of a blocked_attention block, and per array of a moments query block.
 BLOCK_VALUES = 1 << 15
+
+# Strip attention from per-bin moments (blocked_attention at qk width 1).
+# Bins of width 1 centred on the integers hold each query's tau within 1/2
+# of its centre, so the first term the expansion drops is at most
+# (1/2)**P / P! of the row's weights; P is the fewest moments that put it
+# within four ulps of 1: 14, at 7.0e-16.
+_BIN_WIDTH = 1.0
+_MOMENTS = next(p for p in itertools.count(1) if (_BIN_WIDTH / 2) ** p / math.factorial(p) <= 4 * np.finfo(float).eps)
+# The moments path's cost in exact-loop MACs, from one-BLAS-thread timings of
+# both paths over 280 shapes (BENCH_moments.json "crossover"): a small GEMM's
+# MAC costs 1.5 of the exact loop's, which also pays an exp and a few
+# elementwise passes per map entry; a bin and a (batch, head) slice add
+# Python and call overhead worth 50k and 100k of them.
+_MOMENT_MAC_COST = 1.5
+_BIN_COST = 50_000
+_HEAD_COST = 100_000
 
 
 def _softmax_rows(src: np.ndarray, out: np.ndarray) -> None:
@@ -526,25 +558,52 @@ def blocked_attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float) -> Tensor
     """softmax(scale * q @ k_t) @ v at any qk width, without the whole map.
 
     q is [B, H, N_q, qk], k_t [B, H, qk, N_kv] and v [B, H, N_kv, d]; the
-    result is [B, H, N_q, d]. It works on one block of query rows of every
-    (batch, head) slice at a time, in reused buffers, and tallies the MACs
-    and output sizes that its reference, the chain matmul -> scalar_mul ->
-    softmax_lastdim -> matmul, tallies, in attention's regions. Forward
-    only: a tape needs the map, so taped callers use the chain.
+    result is [B, H, N_q, d]. It tallies the MACs and output sizes that its
+    reference, the chain matmul -> scalar_mul -> softmax_lastdim -> matmul,
+    tallies, in attention's regions, whichever path runs. Forward only: a
+    tape needs the map, so taped callers use the chain.
 
-    At qk width > 1 a block runs the chain's own steps on its rows: the
-    logits matmul, the scale, _softmax_rows and the value mix.
-    At qk width 1 each row's logits are rank one, scale * (q * k_m), and
-    rounding is monotone, so the chain's row max is the larger of
-    scale * (q * kmax) and scale * (q * kmin), bit for bit. A block subtracts
-    that shift and takes exp; one GEMM against [v | 1] then gives the
-    unnormalized mix and the row sums, and the mix is divided by them
-    (deferred normalization: Milakov & Gimelshein 2018, arXiv 1805.02867).
-    The shifted row holds an exact 1, so its sum is at least 1. Each logit
-    is one rounded product, as in the chain's K=1 matmul; only an exact
-    zero can differ, in sign, and exp does not tell the two zeros apart.
-    So the strip result differs from the chain's only in the rounding of
-    the row sums and of the normalization.
+    The exact loop works on one block of query rows of every (batch, head)
+    slice at a time, in reused buffers. At qk width > 1 a block runs the
+    chain's own steps on its rows: the logits matmul, the scale,
+    _softmax_rows and the value mix. At qk width 1 each row's logits are
+    rank one, scale * (q * k_m), and rounding is monotone, so the chain's
+    row max is the larger of scale * (q * kmax) and scale * (q * kmin), bit
+    for bit. A block subtracts that shift and takes exp; one GEMM against
+    [v | 1] then gives the unnormalized mix and the row sums, and the mix is
+    divided by them (deferred normalization: Milakov & Gimelshein 2018,
+    arXiv 1805.02867). The shifted row holds an exact 1, so its sum is at
+    least 1. Each logit is one rounded product, as in the chain's K=1
+    matmul; only an exact zero can differ, in sign, and exp does not tell
+    the two zeros apart. So the strip result differs from the chain's only
+    in the rounding of the row sums and of the normalization.
+
+    At qk width 1 that loop still pays an exp and d + 1 MACs per map entry.
+    Where this costs more, the strip runs from per-bin moments (_strip_moments). A row
+    constant does not change a softmax. So with c and r the middle and
+    half-range of a head's keys, and u_m = (k_m - c) / r in [-1, 1], a
+    query's output depends on tau = scale * q * r alone:
+    o(tau) = sum_m e^(tau u_m) [v_m | 1], the mix over its last column.
+    About a bin centre t0, e^(tau u) = e^(t0 u) sum_n (tau - t0)^n u^n / n!.
+    So a bin needs P = _MOMENTS moments,
+    M_n = sum_m e^(t0 u_m - |t0|) u_m^n / n! [v_m | 1], one [P, N_kv] GEMM,
+    and a query the polynomial sum_n (tau - t0)^n M_n, one Vandermonde GEMM
+    per block of query rows. This is the fast Gauss transform's expansion
+    (Greengard & Strain 1991; Yang, Duraiswami, Gumerov & Davis, ICCV
+    2003). The bins are the integers nearest some query's tau, so
+    |tau - t0| <= 1/2, and the dropped terms are at most
+    (1/2)^P / P! = 7.0e-16 of the row's weights. Every sum is of positive
+    weights, and the polynomial's terms add to at most e times its value.
+    So the result is within a few ulps of max|v| of the exact loop's, but
+    not bit for bit. A head whose keys are all equal mixes its values' mean.
+
+    _moments_pay picks the path per call from the shapes and each head's
+    tau range alone. In exact-loop MACs, the exact loop costs
+    N_q N_kv (d + 2) a head, and the moments
+    1.5 (bins P N_kv + N_q P) (d + 1) + 50k bins + 100k, where bins counts
+    the integers from rint(tau_min) to rint(tau_max). The moments run when
+    they cost less and every spread is finite. The constants were measured
+    (BENCH_moments.json).
     """
     if q.data.ndim != 4 or k_t.data.ndim != 4 or v.data.ndim != 4:
         raise ShapeError(f"blocked_attention needs 4-d operands, got {q.shape}, {k_t.shape}, {v.shape}")
@@ -564,29 +623,106 @@ def blocked_attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float) -> Tensor
 
     q_data, k_data, v_data = q.data, k_t.data, v.data
     out = np.empty((b, h, n_q, d))
-    step = max(1, BLOCK_VALUES // n_kv)
-    buf = np.empty((b, h, min(step, n_q), n_kv))
-    logits = np.multiply if qk == 1 else np.matmul
     if qk == 1:
         kmax, kmin = k_data.max(axis=-1, keepdims=True), k_data.min(axis=-1, keepdims=True)
         v_data = np.concatenate((v_data, np.ones((b, h, n_kv, 1))), axis=-1)
-        mix_buf = np.empty((b, h, min(step, n_q), d + 1))  # per row: unnormalized mix, row sum
-    for r in range(0, n_q, step):
-        rows = slice(r, r + step)
-        blk, q_rows = buf[:, :, : min(step, n_q - r)], q_data[:, :, rows]
-        logits(q_rows, k_data, out=blk)
-        if scale != 1.0:
-            blk *= scale
+    if qk == 1 and _moments_pay(q_data, kmax, kmin, scale, n_kv, d):
+        _strip_moments(q_data[..., 0], k_data[:, :, 0], v_data, scale, out)
+    else:
+        step = max(1, BLOCK_VALUES // n_kv)
+        buf = np.empty((b, h, min(step, n_q), n_kv))
+        logits = np.multiply if qk == 1 else np.matmul
         if qk == 1:
-            blk -= np.maximum(q_rows * kmax * scale, q_rows * kmin * scale)
-            np.exp(blk, out=blk)
-            mixed = np.matmul(blk, v_data, out=mix_buf[:, :, : blk.shape[2]])
-            np.divide(mixed[..., :d], mixed[..., d:], out=out[:, :, rows])
-        else:
-            _softmax_rows(blk, blk)
-            np.matmul(blk, v_data, out=out[:, :, rows])
+            mix_buf = np.empty((b, h, min(step, n_q), d + 1))  # per row: unnormalized mix, row sum
+        for r in range(0, n_q, step):
+            rows = slice(r, r + step)
+            blk, q_rows = buf[:, :, : min(step, n_q - r)], q_data[:, :, rows]
+            logits(q_rows, k_data, out=blk)
+            if scale != 1.0:
+                blk *= scale
+            if qk == 1:
+                blk -= np.maximum(q_rows * kmax * scale, q_rows * kmin * scale)
+                np.exp(blk, out=blk)
+                mixed = np.matmul(blk, v_data, out=mix_buf[:, :, : blk.shape[2]])
+                np.divide(mixed[..., :d], mixed[..., d:], out=out[:, :, rows])
+            else:
+                _softmax_rows(blk, blk)
+                np.matmul(blk, v_data, out=out[:, :, rows])
     with mac_region("attn_mix"):
         return _emit(out, (q, k_t, v), None, macs=b * h * n_q * d * n_kv)
+
+
+def _moments_pay(q: np.ndarray, kmax: np.ndarray, kmin: np.ndarray, scale: float, n_kv: int, d: int) -> bool:
+    """Whether a strip call's moments path costs less than its exact loop.
+
+    q is [B, H, N_q, 1] and kmax, kmin [B, H, 1, 1]. The exact loop costs
+    N_q N_kv (d + 2) MACs per head. The moments path costs, in the same
+    units, _MOMENT_MAC_COST (bins P N_kv + N_q P) (d + 1) + bins _BIN_COST
+    + _HEAD_COST, where bins counts the integers from rint(tau_min) to
+    rint(tau_max), at most N_q. Most calls are settled by their shapes
+    alone: at one bin a head, the moments path loses whenever N_kv is below
+    about 1.5 P, as in every call of a default decode (N_kv = 4). Otherwise
+    the spreads decide; a non-finite one keeps the exact loop, whose
+    non-finite output the caller reports.
+    """
+    b, h, n_q, _ = q.shape
+    per_value = _MOMENT_MAC_COST * _MOMENTS * (d + 1)
+    exact = n_q * n_kv * (d + 2)
+    per_head, per_bin = per_value * n_q + _HEAD_COST, per_value * n_kv + _BIN_COST
+    if per_head + per_bin >= exact:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        sr = (kmax / 2 - kmin / 2) * scale  # scale * r, as _strip_moments forms it
+        span = np.abs(np.rint(q.max(axis=-2, keepdims=True) * sr) - np.rint(q.min(axis=-2, keepdims=True) * sr))
+    if not np.isfinite(span).all():
+        return False
+    bins = np.minimum(span + 1, n_q).sum()
+    return per_head * b * h + per_bin * bins < exact * b * h
+
+
+def _strip_moments(q: np.ndarray, k: np.ndarray, v1: np.ndarray, scale: float, out: np.ndarray) -> None:
+    """blocked_attention at qk width 1 from per-bin moments, into out.
+
+    q is [B, H, N_q], k [B, H, N_kv], v1 the values with a column of ones
+    [B, H, N_kv, d + 1] and out [B, H, N_q, d]. The moments of a bin are
+    [P, d + 1]; the query side runs in blocks of at most BLOCK_VALUES values
+    of the Vandermonde rows [rows, P] and the mix [rows, d + 1].
+    """
+    d, p = out.shape[-1], _MOMENTS
+    rows = max(1, BLOCK_VALUES // max(p, d + 1))
+    powers = np.empty((p, k.shape[-1]))  # u^n / n!
+    weighted = np.empty_like(powers)
+    moments = np.empty((p, d + 1))
+    vander = np.empty((p, min(rows, q.shape[-1])))  # (tau - t0)^n, transposed
+    vander[0] = 1.0
+    for i, j in np.ndindex(q.shape[:2]):
+        k_bh, v_bh, out_bh = k[i, j], v1[i, j], out[i, j]
+        kmax, kmin = k_bh.max(), k_bh.min()
+        r = kmax / 2 - kmin / 2
+        if r == 0:  # all keys equal: every weight is the same
+            out_bh[:] = v_bh[:, :d].mean(axis=0)
+            continue
+        u = (k_bh - (kmax / 2 + kmin / 2)) / r
+        tau = q[i, j] * (scale * r)
+        centres = np.rint(tau)
+        powers[0] = 1.0
+        for n in range(1, p):
+            np.multiply(powers[n - 1], u, out=powers[n])
+            powers[n] /= n
+        bins = np.unique(centres)
+        for t0 in bins:
+            np.multiply(powers, np.exp(t0 * u - abs(t0)), out=weighted)
+            np.matmul(weighted, v_bh, out=moments)
+            held = None if bins.size == 1 else np.flatnonzero(centres == t0)
+            for s in range(0, q.shape[-1] if held is None else held.size, rows):
+                sel = slice(s, s + rows) if held is None else held[s : s + rows]
+                delta = tau[sel] - t0
+                vt = vander[:, : delta.size]
+                vt[1] = delta
+                for n in range(2, p):
+                    np.multiply(vt[n - 1], delta, out=vt[n])
+                mixed = vt.T @ moments
+                out_bh[sel] = mixed[:, :d] / mixed[:, d:]
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:

@@ -191,9 +191,10 @@ class TestFusedStripAttention:
     def test_one_block_is_bit_equal_to_the_chain(self, scale):
         # one block of rows covers all 64 queries. At full width the kernel
         # runs the chain's own steps, so it has the chain's bits. At qk width
-        # 1 it has the bits of the whole-array deferred formula, whose row
-        # max is the chain's bit for bit, and only the normalization's
-        # rounding separates it from the chain.
+        # 1 this shape keeps the exact strip loop (16 keys, below the
+        # moments path's crossover), which has the bits of the whole-array
+        # deferred formula, whose row max is the chain's bit for bit, and
+        # only the normalization's rounding separates it from the chain.
         strip = kernel_operands(62, 1)
         args = [Tensor(a) for a in strip]
         fused = blocked_attention(*args, scale).data

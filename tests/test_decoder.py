@@ -690,7 +690,8 @@ class TestLazyAttentionMaps:
         # a taped decode runs the unfused chain, and one block of query rows
         # covers every query at these sizes. At full width the blocked
         # kernel runs the chain's steps and agrees bit for bit. At qk width
-        # 1 it has the bits of the whole-array deferred formula, and the
+        # 1 these sizes keep the exact strip loop (4 keys a call), which has
+        # the bits of the whole-array deferred formula, and the
         # normalization's rounding alone separates it from the chain.
         doc = {"decoder": {"mixer": mixer}}
         cfg = small_config(**doc) if size == "small" else resolve_config(doc)
